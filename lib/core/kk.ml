@@ -173,7 +173,28 @@ let read_event t cell value ~wid =
 let write_event t cell value ~wid =
   if t.verbose then [ Event.Write { p = t.pid; cell; value; wid } ] else []
 
-let prov_event t ev = if t.provenance then [ ev ] else []
+(* A cell name is a [Printf.sprintf] and these run on every counted
+   step, so they take the vector or matrix and its indices and look the
+   name and write-id up only when [verbose]. *)
+let vread_event t vec i value =
+  if t.verbose then
+    read_event t (Memory.vname vec ~cell:i) value ~wid:(Memory.vwid vec i)
+  else []
+
+let vwrite_event t vec i value =
+  if t.verbose then
+    write_event t (Memory.vname vec ~cell:i) value ~wid:(Memory.vwid vec i)
+  else []
+
+let mread_event t mat row col value =
+  if t.verbose then
+    read_event t (Memory.mname mat ~row ~col) value ~wid:(Memory.mwid mat row col)
+  else []
+
+let mwrite_event t mat row col value =
+  if t.verbose then
+    write_event t (Memory.mname mat ~row ~col) value ~wid:(Memory.mwid mat row col)
+  else []
 
 (* Start the IterStepKK termination sequence: recompute TRY and DONE
    from shared memory, then produce the output set. *)
@@ -203,14 +224,17 @@ let step_comp_next t =
     t.next_j <-
       P.choose t.policy ~p:t.pid ~m:(m t) ~free:t.free ~try_set:t.tries;
     let pick =
-      prov_event t
-        (Event.Pick
-           {
-             p = t.pid;
-             job = t.next_j;
-             free_card = Set.cardinal t.free;
-             try_card = Set.cardinal t.tries;
-           })
+      if t.provenance then
+        [
+          Event.Pick
+            {
+              p = t.pid;
+              job = t.next_j;
+              free_card = Set.cardinal t.free;
+              try_card = Set.cardinal t.tries;
+            };
+        ]
+      else []
     in
     t.tries <- Set.empty;
     Hashtbl.reset t.try_owner;
@@ -237,15 +261,11 @@ let step_set_flag t =
 
 let step_set_next t =
   Memory.vset t.shared.next ~p:t.pid t.pid t.next_j;
-  let ev =
-    write_event t
-      (Memory.vname t.shared.next ~cell:t.pid)
-      t.next_j
-      ~wid:(Memory.vwid t.shared.next t.pid)
-  in
+  let ev = vwrite_event t t.shared.next t.pid t.next_j in
   t.q <- 1;
   t.status <- Gather_try;
-  ev @ prov_event t (Event.Announce { p = t.pid; job = t.next_j })
+  if t.provenance then ev @ [ Event.Announce { p = t.pid; job = t.next_j } ]
+  else ev
 
 let step_gather_try t =
   let ev =
@@ -256,8 +276,7 @@ let step_gather_try t =
         if t.blame then Hashtbl.replace t.try_owner v t.q;
         Metrics.add_work (metrics t) ~p:t.pid t.shared.log_unit
       end;
-      read_event t (Memory.vname t.shared.next ~cell:t.q) v
-        ~wid:(Memory.vwid t.shared.next t.q)
+      vread_event t t.shared.next t.q v
     end
     else begin
       Metrics.on_internal (metrics t) ~p:t.pid;
@@ -276,12 +295,7 @@ let step_gather_done t =
     if t.q <> t.pid && t.pos.(t.q) <= cols t then begin
       let c = t.pos.(t.q) in
       let v = Memory.mget t.shared.done_m ~p:t.pid t.q c in
-      let ev =
-        read_event t
-          (Memory.mname t.shared.done_m ~row:t.q ~col:c)
-          v
-          ~wid:(Memory.mwid t.shared.done_m t.q c)
-      in
+      let ev = mread_event t t.shared.done_m t.q c v in
       if v > 0 then begin
         t.done_set <- Set.add v t.done_set;
         t.free <- Set.remove v t.free;
@@ -347,14 +361,15 @@ let step_check t =
   else begin
     record_collision t;
     let forfeit =
-      prov_event t
-        (let hit, owner =
-           if Set.mem t.next_j t.tries then
-             ("try", Option.value ~default:0 (Hashtbl.find_opt t.try_owner t.next_j))
-           else
-             ("done", Option.value ~default:0 (Hashtbl.find_opt t.done_owner t.next_j))
-         in
-         Event.Forfeit { p = t.pid; job = t.next_j; hit; owner })
+      if t.provenance then begin
+        let hit, owners =
+          if Set.mem t.next_j t.tries then ("try", t.try_owner)
+          else ("done", t.done_owner)
+        in
+        let owner = Option.value ~default:0 (Hashtbl.find_opt owners t.next_j) in
+        [ Event.Forfeit { p = t.pid; job = t.next_j; hit; owner } ]
+      end
+      else []
     in
     t.status <- Comp_next;
     internal_event t "check(collision)" @ forfeit
@@ -378,12 +393,7 @@ let step_done_write t =
   let c = t.pos.(t.pid) in
   assert (c <= cols t);
   Memory.mset t.shared.done_m ~p:t.pid t.pid c t.next_j;
-  let ev =
-    write_event t
-      (Memory.mname t.shared.done_m ~row:t.pid ~col:c)
-      t.next_j
-      ~wid:(Memory.mwid t.shared.done_m t.pid c)
-  in
+  let ev = mwrite_event t t.shared.done_m t.pid c t.next_j in
   t.done_set <- Set.add t.next_j t.done_set;
   t.free <- Set.remove t.next_j t.free;
   t.pos.(t.pid) <- c + 1;
@@ -422,12 +432,7 @@ let step_rec_scan t =
   let c = t.pos.(t.pid) in
   if c <= cols t then begin
     let v = Memory.mget t.shared.done_m ~p:t.pid t.pid c in
-    let ev =
-      read_event t
-        (Memory.mname t.shared.done_m ~row:t.pid ~col:c)
-        v
-        ~wid:(Memory.mwid t.shared.done_m t.pid c)
-    in
+    let ev = mread_event t t.shared.done_m t.pid c v in
     if v > 0 then begin
       t.done_set <- Set.add v t.done_set;
       t.free <- Set.remove v t.free;
@@ -445,12 +450,7 @@ let step_rec_scan t =
 
 let step_rec_next t =
   let v = Memory.vget t.shared.next ~p:t.pid t.pid in
-  let ev =
-    read_event t
-      (Memory.vname t.shared.next ~cell:t.pid)
-      v
-      ~wid:(Memory.vwid t.shared.next t.pid)
-  in
+  let ev = vread_event t t.shared.next t.pid v in
   if v > 0 && not (Set.mem v t.done_set) then begin
     t.rec_suspect <- v;
     t.status <- Rec_mark
@@ -470,13 +470,11 @@ let step_rec_mark t =
   end
   else begin
     Memory.mset t.shared.done_m ~p:t.pid t.pid c t.rec_suspect;
-    let ev =
-      write_event t
-        (Memory.mname t.shared.done_m ~row:t.pid ~col:c)
-        t.rec_suspect
-        ~wid:(Memory.mwid t.shared.done_m t.pid c)
+    let ev = mwrite_event t t.shared.done_m t.pid c t.rec_suspect in
+    let recov =
+      if t.provenance then [ Event.Recover { p = t.pid; job = t.rec_suspect } ]
+      else []
     in
-    let recov = prov_event t (Event.Recover { p = t.pid; job = t.rec_suspect }) in
     t.done_set <- Set.add t.rec_suspect t.done_set;
     t.free <- Set.remove t.rec_suspect t.free;
     t.pos.(t.pid) <- c + 1;

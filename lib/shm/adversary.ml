@@ -34,15 +34,23 @@ let at_start pids =
         end);
   }
 
+(* [pending] stays sorted by step, so the entries due at [step] are a
+   prefix of it and a decision with nothing due reads only the head. *)
 let at_steps plan =
   let pending = ref (List.sort compare plan) in
+  let rec take_due step = function
+    | (s, p) :: rest when s <= step -> p :: take_due step rest
+    | later ->
+        pending := later;
+        []
+  in
   {
     name = "at-steps";
     decide =
       (fun ~step ~handles:_ ->
-        let due, later = List.partition (fun (s, _) -> s <= step) !pending in
-        pending := later;
-        List.map snd due);
+        match !pending with
+        | (s, _) :: _ when s <= step -> take_due step !pending
+        | _ -> []);
   }
 
 let random rng ~f ~m ~horizon =

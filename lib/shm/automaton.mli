@@ -22,7 +22,11 @@ type handle = {
           called when [alive () = false]. *)
   alive : unit -> bool;
       (** [true] while the process has enabled actions — i.e. it has
-          neither terminated nor crashed. *)
+          neither terminated nor crashed.  Its value may change only
+          through this process's own {!val:step}, its {!val:crash}, or
+          a restart that the executor's restarter reports: the
+          executor caches the live set and re-reads [alive] only after
+          one of those ({!Executor.run}). *)
   crash : unit -> unit;
       (** The adversary's [stop] action: after this, [alive] is
           [false] and no further actions occur.  Idempotent. *)

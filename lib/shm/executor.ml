@@ -77,36 +77,56 @@ let run ?max_steps ?(trace_level = `Outcomes) ?(probe = Probe.null)
   let step = ref 0 in
   let reason = ref Quiescent in
   let finished = ref false in
+  (* The live set is cached between steps.  [alive] changes only
+     through a process's own step, its crash, or a restart the
+     restarter reports (Automaton.handle), so the array is rebuilt only
+     after one of those and every scheduler sees the same contents it
+     would see if it were rebuilt every step. *)
+  let live = ref (live_pids handles) in
+  let live_stale = ref false in
+  (* Closures used inside the loop are built once, here: a closure
+     written inside the loop would be allocated on every step. *)
+  let crash p =
+    if p >= 1 && p <= nprocs then begin
+      let h = handles.(p - 1) in
+      if h.Automaton.alive () then begin
+        (* Capture the phase before [crash] discards it. *)
+        let phase = if phased then h.Automaton.phase () else "" in
+        h.Automaton.crash ();
+        live_stale := true;
+        let ev = Event.Crash { p } in
+        Trace.record trace ~step:!step ev;
+        if observing then Probe.on_event probe ~step:!step ~phase ev
+      end
+    end
+  in
+  let record_restart p =
+    if p >= 1 && p <= nprocs then begin
+      let ev = Event.Restart { p } in
+      Trace.record trace ~step:!step ev;
+      if observing then Probe.on_event probe ~step:!step ~phase:"restart" ev
+    end
+  in
+  let record ev = Trace.record trace ~step:!step ev in
+  let rec emit phase = function
+    | [] -> ()
+    | ev :: rest ->
+        Probe.on_event probe ~step:!step ~phase ev;
+        emit phase rest
+  in
   while not !finished do
-    let victims = Adversary.decide adversary ~step:!step ~handles in
-    List.iter
-      (fun p ->
-        if p >= 1 && p <= Array.length handles then begin
-          let h = handles.(p - 1) in
-          if h.Automaton.alive () then begin
-            (* Capture the phase before [crash] discards it. *)
-            let phase = if phased then h.Automaton.phase () else "" in
-            h.Automaton.crash ();
-            let ev = Event.Crash { p } in
-            Trace.record trace ~step:!step ev;
-            if observing then Probe.on_event probe ~step:!step ~phase ev
-          end
-        end)
-      victims;
+    List.iter crash (Adversary.decide adversary ~step:!step ~handles);
     (match restarter with
     | None -> ()
     | Some restart ->
         let revived = restart ~step:!step ~handles in
-        List.iter
-          (fun p ->
-            if p >= 1 && p <= Array.length handles then begin
-              let ev = Event.Restart { p } in
-              Trace.record trace ~step:!step ev;
-              if observing then
-                Probe.on_event probe ~step:!step ~phase:"restart" ev
-            end)
-          revived);
-    let alive = live_pids handles in
+        if revived <> [] then live_stale := true;
+        List.iter record_restart revived);
+    if !live_stale then begin
+      live := live_pids handles;
+      live_stale := false
+    end;
+    let alive = !live in
     if Array.length alive = 0 then finished := true
     else if !step >= max_steps then begin
       reason := Max_steps;
@@ -120,20 +140,10 @@ let run ?max_steps ?(trace_level = `Outcomes) ?(probe = Probe.null)
          allocate. *)
       let phase = if phased then h.Automaton.phase () else "" in
       let events = h.Automaton.step () in
+      if not (h.Automaton.alive ()) then live_stale := true;
       advance_clock p events;
-      List.iter (Trace.record trace ~step:!step) events;
-      if observing then begin
-        (* manual loop: a [List.iter] partial application would
-           allocate a closure on every observed step *)
-        let step = !step in
-        let rec emit = function
-          | [] -> ()
-          | ev :: rest ->
-              Probe.on_event probe ~step ~phase ev;
-              emit rest
-        in
-        emit events
-      end;
+      List.iter record events;
+      if observing then emit phase events;
       incr step
     end
   done;

@@ -60,6 +60,18 @@ val run :
     state; see {!Core.Kk.restart}) and return the pids it revived; a
     [Restart] event is recorded for each.
 
+    The live set is kept incrementally: the sorted array of live pids
+    is rebuilt (with {!live_pids}) only after the adversary crashes a
+    live process, after the restarter reports a non-empty list, or
+    after a step that leaves the stepped process not alive.  This
+    relies on the {!Automaton.handle} contract that [alive] changes
+    only through the process's own step, its crash, or a reported
+    restart; a restarter that revives a process without returning its
+    pid leaves it unscheduled.  The scheduler therefore receives an
+    array with the same contents as [live_pids handles] on every pick,
+    without the per-step O(m) rebuild.  The array is shared between
+    picks, so a scheduler must not mutate it.
+
     @raise Invalid_argument on malformed handle arrays. *)
 
 val live_pids : Automaton.handle array -> int array

@@ -52,7 +52,8 @@ val fixed : int list -> t
 val custom : name:string -> (alive:int array -> int) -> t
 (** Wrap an arbitrary (possibly stateful) choice function.  The
     function receives the non-empty sorted live-pid array and must
-    return one of its elements.  Used by the fault-injection layer to
+    return one of its elements; the executor reuses that array across
+    picks, so the function must not mutate it.  Used by the fault-injection layer to
     decorate an inner scheduler (e.g. stall windows that hide a pid
     from the choice without killing it). *)
 

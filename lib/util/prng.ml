@@ -25,16 +25,17 @@ let split g =
   let seed = next_int64 g in
   create (mix seed)
 
+(* Rejection sampling on the high bits keeps the distribution exactly
+   uniform even when [bound] does not divide 2^62.  Top-level, so a
+   draw allocates no closure. *)
+let rec draw g bound =
+  let bits = Int64.to_int (Int64.shift_right_logical (next_int64 g) 2) in
+  let v = bits mod bound in
+  if bits - v + (bound - 1) < 0 then draw g bound else v
+
 let int g bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
-  (* Rejection sampling on the high bits keeps the distribution exactly
-     uniform even when [bound] does not divide 2^62. *)
-  let rec draw () =
-    let bits = Int64.to_int (Int64.shift_right_logical (next_int64 g) 2) in
-    let v = bits mod bound in
-    if bits - v + (bound - 1) < 0 then draw () else v
-  in
-  draw ()
+  draw g bound
 
 let int_in g lo hi =
   if hi < lo then invalid_arg "Prng.int_in: hi < lo";

@@ -7,6 +7,7 @@ let () =
       ("rbtree", Test_rbtree.suite);
       ("twothree", Test_twothree.suite);
       ("shm", Test_shm.suite);
+      ("step", Test_step.suite);
       ("params", Test_params.suite);
       ("spec", Test_spec.suite);
       ("policy", Test_policy.suite);

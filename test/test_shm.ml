@@ -297,6 +297,62 @@ let test_adversary_after_announce () =
   (* p1 stepped once (to announce), then died; p2 ran out its 10 *)
   Alcotest.(check int) "steps" 11 outcome.Executor.steps
 
+(* ---- at_steps: the head check fires exactly what a full scan did ---- *)
+
+(* The earlier implementation, kept as the reference: scan the whole
+   pending plan at every decision. *)
+let at_steps_reference plan =
+  let pending = ref (List.sort compare plan) in
+  fun step ->
+    let due, later = List.partition (fun (s, _) -> s <= step) !pending in
+    pending := later;
+    List.map snd due
+
+(* Decisions at steps 0..[last], one list of victims per step. *)
+let decisions adv ~last =
+  List.init (last + 1) (fun step -> Adversary.decide adv ~step ~handles:[||])
+
+let check_at_steps label plan ~last expected =
+  let reference = at_steps_reference plan in
+  Alcotest.(check (list (list int)))
+    (label ^ " (reference)") expected
+    (List.init (last + 1) reference);
+  Alcotest.(check (list (list int)))
+    label expected
+    (decisions (Adversary.at_steps plan) ~last)
+
+let test_at_steps_cases () =
+  check_at_steps "unsorted plan" [ (5, 2); (1, 1); (3, 3) ] ~last:6
+    [ []; [ 1 ]; []; [ 3 ]; []; [ 2 ]; [] ];
+  check_at_steps "duplicate steps fire together" [ (2, 3); (2, 1); (4, 2) ]
+    ~last:4
+    [ []; []; [ 1; 3 ]; []; [ 2 ] ];
+  check_at_steps "steps <= 0 fire at the first decision" [ (0, 1); (-3, 2); (1, 3) ]
+    ~last:2
+    [ [ 2; 1 ]; [ 3 ]; [] ];
+  check_at_steps "entries past the end never fire" [ (1, 1); (1000, 2) ] ~last:3
+    [ []; [ 1 ]; []; [] ]
+
+let test_at_steps_past_end_run () =
+  let handles = [| stub ~pid:1 ~steps_to_do:5; stub ~pid:2 ~steps_to_do:5 |] in
+  let outcome =
+    Executor.run ~scheduler:(Schedule.round_robin ())
+      ~adversary:(Adversary.at_steps [ (3, 2); (1_000, 1) ])
+      handles
+  in
+  Alcotest.(check (list int)) "only the in-range entry fired" [ 2 ]
+    (Trace.crashes outcome.Executor.trace)
+
+let prop_at_steps_reference =
+  QCheck.Test.make ~name:"at_steps fires what the full scan fired" ~count:300
+    QCheck.(
+      pair
+        (list_of_size Gen.(0 -- 12) (pair (int_range (-5) 40) (int_range 1 6)))
+        (int_range 0 50))
+    (fun (plan, last) ->
+      decisions (Adversary.at_steps plan) ~last
+      = List.init (last + 1) (at_steps_reference plan))
+
 let suite =
   [
     Alcotest.test_case "vector read/write + metering" `Quick test_vector_rw;
@@ -329,4 +385,8 @@ let suite =
       test_adversary_random_validates;
     Alcotest.test_case "adversary after announce" `Quick
       test_adversary_after_announce;
+    Alcotest.test_case "at_steps crash points" `Quick test_at_steps_cases;
+    Alcotest.test_case "at_steps past the end of a run" `Quick
+      test_at_steps_past_end_run;
+    Helpers.qtest prop_at_steps_reference;
   ]
