@@ -17,8 +17,9 @@
      amo_run explore --jobs 4 --procs 2 --domains 2 --differential --json
 
    Exit status: 0 on success, 1 when a run violates its oracle
-   (at-most-once, Write-All completeness, or a tight-bound prediction),
-   2 on usage errors. *)
+   (at-most-once, Write-All completeness, or a tight-bound prediction)
+   or a kk, worst, iterative, trivial or pairing run stops at the step
+   cap before quiescence, 2 on usage errors. *)
 
 open Cmdliner
 module J = Obs.Json
@@ -122,16 +123,20 @@ let summary_json ~label ~n ~m extra (s : Core.Harness.summary) =
     @ extra)
 
 (* Print one summary (text or JSON), returning whether at-most-once
-   held so the caller can set the exit status. *)
+   held and the run reached quiescence, so the caller can set the exit
+   status: a run stopped by the executor's step cap never passes. *)
 let report ~json ~label ~n ~m ?(extra_json = []) ?(extra_text = fun () -> ())
     (s : Core.Harness.summary) =
   if json then
     print_endline (J.to_string ~minify:false (summary_json ~label ~n ~m extra_json s))
   else begin
     pp_summary ~label ~n ~m ~f:0 s;
+    if not s.wait_free then
+      Fmt.pr "truncated       : stopped at the step cap after %d steps@."
+        s.steps;
     extra_text ()
   end;
-  Result.is_ok (Core.Spec.check_at_most_once s.dos)
+  s.wait_free && Result.is_ok (Core.Spec.check_at_most_once s.dos)
 
 (* ---- common options ---- *)
 

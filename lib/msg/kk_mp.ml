@@ -6,6 +6,15 @@ type outcome = {
   deliveries : int;
 }
 
+let of_abd (o : Abd.outcome) =
+  {
+    dos = o.dos;
+    completed = o.completed;
+    stuck = o.stuck;
+    crashed_clients = o.crashed_clients;
+    deliveries = o.deliveries;
+  }
+
 (* register layout: next[q] = q; done[q][c] = m + (q-1)*n + c *)
 let next_reg q = q
 
@@ -15,61 +24,19 @@ let done_reg ~n ~m q c =
 
 let register_count ~n ~m = m + (m * n)
 
+(* The outcome carries no work measure (deliveries are the cost unit
+   here), so the body's charges go to a ledger nobody reads. *)
 let kk_body ~n ~m ~beta ~pid ~read ~write ~do_job =
-  let free = ref (Ostree.of_range 1 n) in
-  let done_set = ref Ostree.empty in
-  let tries = ref Ostree.empty in
-  let pos = Array.make (m + 1) 1 in
-  let gather_try () =
-    tries := Ostree.empty;
-    for q = 1 to m do
-      if q <> pid then begin
-        let v = read (next_reg q) in
-        if v > 0 then tries := Ostree.add v !tries
-      end
-    done
-  in
-  let gather_done () =
-    for q = 1 to m do
-      if q <> pid then begin
-        let continue_row = ref true in
-        while !continue_row do
-          if pos.(q) > n then continue_row := false
-          else begin
-            let v = read (done_reg ~n ~m q pos.(q)) in
-            if v > 0 then begin
-              done_set := Ostree.add v !done_set;
-              free := Ostree.remove v !free;
-              pos.(q) <- pos.(q) + 1
-            end
-            else continue_row := false
-          end
-        done
-      end
-    done
-  in
-  let running = ref true in
-  while !running do
-    if Ostree.diff_cardinal !free !tries >= beta then begin
-      let next_j =
-        Core.Policy.choose Core.Policy.Rank_split ~p:pid ~m ~free:!free
-          ~try_set:!tries
-      in
-      write (next_reg pid) next_j;
-      gather_try ();
-      gather_done ();
-      if
-        (not (Ostree.mem next_j !tries)) && not (Ostree.mem next_j !done_set)
-      then begin
-        do_job next_j;
-        write (done_reg ~n ~m pid pos.(pid)) next_j;
-        done_set := Ostree.add next_j !done_set;
-        free := Ostree.remove next_j !free;
-        pos.(pid) <- pos.(pid) + 1
-      end
-    end
-    else running := false
-  done
+  Core.Kk_direct.kk ~ledger:(Shm.Metrics.create ~m) ~m ~beta
+    ~policy:Core.Policy.Rank_split ~pid
+    {
+      Core.Kk_direct.cols = n;
+      read_next = (fun q -> read (next_reg q));
+      write_next = (fun v -> write (next_reg pid) v);
+      read_done = (fun q c -> read (done_reg ~n ~m q c));
+      write_done = (fun c v -> write (done_reg ~n ~m pid c) v);
+    }
+    ~do_job
 
 (* ---- IterativeKK(eps) over message passing ----
 
@@ -99,96 +66,23 @@ let lv_done ~m bank q c =
 
 let lv_flag ~m bank = bank.base + m + (m * bank.blocks) + 1
 
-(* One IterStepKK instance over a level's registers (Fig. 3's inner
-   call: KK + flag-coordinated termination, output FREE \ TRY). *)
-let iter_step_body ~m ~beta ~bank ~pid ~read ~write ~perform ~free0 =
-  let free = ref free0 in
-  let done_set = ref Ostree.empty in
-  let tries = ref Ostree.empty in
-  let pos = Array.make (m + 1) 1 in
-  let gather_try () =
-    tries := Ostree.empty;
-    for q = 1 to m do
-      if q <> pid then begin
-        let v = read (lv_next bank q) in
-        if v > 0 then tries := Ostree.add v !tries
-      end
-    done
-  in
-  let gather_done () =
-    for q = 1 to m do
-      if q <> pid then begin
-        let continue_row = ref true in
-        while !continue_row do
-          if pos.(q) > bank.blocks then continue_row := false
-          else begin
-            let v = read (lv_done ~m bank q pos.(q)) in
-            if v > 0 then begin
-              done_set := Ostree.add v !done_set;
-              free := Ostree.remove v !free;
-              pos.(q) <- pos.(q) + 1
-            end
-            else continue_row := false
-          end
-        done
-      end
-    done
-  in
-  let finalize () =
-    gather_try ();
-    gather_done ();
-    Ostree.fold (fun x acc -> Ostree.remove x acc) !tries !free
-  in
-  let result = ref None in
-  while !result = None do
-    if Ostree.diff_cardinal !free !tries >= beta then begin
-      let id =
-        Core.Policy.choose Core.Policy.Rank_split ~p:pid ~m ~free:!free
-          ~try_set:!tries
-      in
-      write (lv_next bank pid) id;
-      gather_try ();
-      gather_done ();
-      if (not (Ostree.mem id !tries)) && not (Ostree.mem id !done_set) then begin
-        if read (lv_flag ~m bank) = 1 then result := Some (finalize ())
-        else begin
-          perform id;
-          write (lv_done ~m bank pid pos.(pid)) id;
-          done_set := Ostree.add id !done_set;
-          free := Ostree.remove id !free;
-          pos.(pid) <- pos.(pid) + 1
-        end
-      end
-    end
-    else begin
-      write (lv_flag ~m bank) 1;
-      result := Some (finalize ())
-    end
-  done;
-  Option.get !result
-
-let iterative_body ~hierarchy ~banks ~m ~beta ~pid ~read ~write ~do_job =
-  let levels = Core.Superjob.num_levels hierarchy in
-  let free = ref (Core.Superjob.ids_at hierarchy 0) in
-  for level = 0 to levels - 1 do
-    let perform id =
-      let lo, hi = Core.Superjob.interval hierarchy ~level ~id in
-      for j = lo to hi do
-        do_job j
-      done
-    in
-    let out =
-      iter_step_body ~m ~beta ~bank:banks.(level) ~pid ~read ~write ~perform
-        ~free0:!free
-    in
-    if level + 1 < levels then
-      free := Core.Superjob.map_down hierarchy ~from_level:level out
-  done
+(* Process [pid]'s view of one level's registers and flag. *)
+let level_mem ~m ~pid ~read ~write bank =
+  ( {
+      Core.Kk_direct.cols = bank.blocks;
+      read_next = (fun q -> read (lv_next bank q));
+      write_next = (fun v -> write (lv_next bank pid) v);
+      read_done = (fun q c -> read (lv_done ~m bank q c));
+      write_done = (fun c v -> write (lv_done ~m bank pid c) v);
+    },
+    {
+      Core.Kk_direct.is_set = (fun () -> read (lv_flag ~m bank) = 1);
+      set = (fun () -> write (lv_flag ~m bank) 1);
+    } )
 
 let run_iterative ?crash_plan ?max_deliveries ~servers ~n ~m ~epsilon_inv ~rng
     () =
   if m < 1 || n < m then invalid_arg "Kk_mp.run_iterative: need 1 <= m <= n";
-  let beta = 3 * m * m in
   let sizes = Core.Iterative.sizes ~n ~m ~epsilon_inv in
   let hierarchy = Core.Superjob.build ~n ~sizes in
   let banks, registers = level_layout ~m hierarchy in
@@ -196,23 +90,21 @@ let run_iterative ?crash_plan ?max_deliveries ~servers ~n ~m ~epsilon_inv ~rng
     Array.to_list banks |> List.map (fun bank -> lv_flag ~m bank)
   in
   let bodies =
-    Array.init m (fun i ->
-        fun ~read ~write ~do_job ->
-          iterative_body ~hierarchy ~banks ~m ~beta ~pid:(i + 1) ~read ~write
-            ~do_job)
+    Array.init m (fun i ~read ~write ~do_job ->
+        let pid = i + 1 in
+        Core.Kk_direct.iterative ~ledger:(Shm.Metrics.create ~m) ~hierarchy ~m
+          ~pid
+          (fun l -> level_mem ~m ~pid ~read ~write banks.(l))
+          ~perform:(fun ~level id ->
+            let lo, hi = Core.Superjob.interval hierarchy ~level ~id in
+            for j = lo to hi do
+              do_job j
+            done))
   in
-  let o =
-    Abd.run ?crash_plan ?max_deliveries
-      ~multi_writer:(fun reg -> List.mem reg flags)
-      ~servers ~registers ~rng ~client_bodies:bodies ()
-  in
-  {
-    dos = o.Abd.dos;
-    completed = o.Abd.completed;
-    stuck = o.Abd.stuck;
-    crashed_clients = o.Abd.crashed_clients;
-    deliveries = o.Abd.deliveries;
-  }
+  of_abd
+    (Abd.run ?crash_plan ?max_deliveries
+       ~multi_writer:(fun reg -> List.mem reg flags)
+       ~servers ~registers ~rng ~client_bodies:bodies ())
 
 let run_kk ?crash_plan ?max_deliveries ~servers ~n ~m ~beta ~rng () =
   if m < 1 || n < m then invalid_arg "Kk_mp.run_kk: need 1 <= m <= n";
@@ -220,15 +112,7 @@ let run_kk ?crash_plan ?max_deliveries ~servers ~n ~m ~beta ~rng () =
   let bodies =
     Array.init m (fun i -> kk_body ~n ~m ~beta ~pid:(i + 1))
   in
-  let o =
-    Abd.run ?crash_plan ?max_deliveries ~servers
-      ~registers:(register_count ~n ~m)
-      ~rng ~client_bodies:bodies ()
-  in
-  {
-    dos = o.Abd.dos;
-    completed = o.Abd.completed;
-    stuck = o.Abd.stuck;
-    crashed_clients = o.Abd.crashed_clients;
-    deliveries = o.Abd.deliveries;
-  }
+  of_abd
+    (Abd.run ?crash_plan ?max_deliveries ~servers
+       ~registers:(register_count ~n ~m)
+       ~rng ~client_bodies:bodies ())

@@ -11,9 +11,9 @@
     registers are atomic and the emulation is wait-free for clients
     while a server majority survives).
 
-    The client body here is a direct-style transcription of Fig. 2 —
-    the same one the multicore runner uses — with every shared access
-    going through an ABD operation. *)
+    The client body is {!Core.Kk_direct}, the direct-style KKβ loop
+    the multicore runner also runs, with every shared access going
+    through an ABD operation. *)
 
 type outcome = {
   dos : (int * int) list;

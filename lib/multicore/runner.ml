@@ -7,206 +7,51 @@ type outcome = {
 
 (* Each domain owns a full-width ledger but only ever touches its own
    pid's cells, so counting is uncontended; the ledgers are merged
-   after join.  Work charges mirror the simulator's (Core.Kk): the
-   rank cost per compNext, one tree-op unit per gather hit, two per
-   done-set update, so measured multicore work is comparable with
-   Theorem 5.6's bound the same way E4's is. *)
+   after join.  The charges are Core.Kk_direct's. *)
 
-(* One process's run: a direct transcription of Fig. 2 against atomic
-   registers.  Shared state: [next] (m cells) and [done_m] (m x n). *)
-let process_loop ~n ~m ~beta ~policy ~budget ~next ~done_m ~pid ~ledger
-    ~log_unit ~emit =
-  let free = ref (Ostree.of_range 1 n) in
-  let done_set = ref Ostree.empty in
-  let tries = ref Ostree.empty in
-  let pos = Array.make (m + 1) 1 in
-  let performed = ref [] in
-  let count = ref 0 in
-  let gather_try () =
-    tries := Ostree.empty;
-    for q = 1 to m do
-      if q <> pid then begin
-        let v = Atomic_mem.vget next q in
-        Shm.Metrics.on_read ledger ~p:pid;
-        if v > 0 then begin
-          tries := Ostree.add v !tries;
-          Shm.Metrics.add_work ledger ~p:pid log_unit
-        end
-      end
-    done
-  in
-  let gather_done () =
-    for q = 1 to m do
-      if q <> pid then begin
-        let continue = ref true in
-        while !continue do
-          if pos.(q) > n then continue := false
-          else begin
-            let v = Atomic_mem.mget done_m q pos.(q) in
-            Shm.Metrics.on_read ledger ~p:pid;
-            if v > 0 then begin
-              done_set := Ostree.add v !done_set;
-              free := Ostree.remove v !free;
-              pos.(q) <- pos.(q) + 1;
-              Shm.Metrics.add_work ledger ~p:pid (2 * log_unit)
-            end
-            else continue := false
-          end
-        done
-      end
-    done
-  in
-  let running = ref true in
-  while !running do
-    if Ostree.diff_cardinal !free !tries >= beta && !count < budget then begin
-      Shm.Metrics.on_internal ledger ~p:pid;
-      Shm.Metrics.add_work ledger ~p:pid
-        (Core.Policy.work_cost ~try_cardinal:(Ostree.cardinal !tries)
-           ~log_n:log_unit);
-      let next_j = Core.Policy.choose policy ~p:pid ~m ~free:!free ~try_set:!tries in
-      Atomic_mem.vset next pid next_j;
-      Shm.Metrics.on_write ledger ~p:pid;
-      gather_try ();
-      gather_done ();
-      Shm.Metrics.on_internal ledger ~p:pid;
-      Shm.Metrics.add_work ledger ~p:pid (2 * log_unit);
-      if
-        (not (Ostree.mem next_j !tries)) && not (Ostree.mem next_j !done_set)
-      then begin
-        (* do the job, then publish it *)
-        performed := next_j :: !performed;
-        incr count;
-        emit next_j;
-        Shm.Metrics.on_internal ledger ~p:pid;
-        Shm.Metrics.add_work ledger ~p:pid 1;
-        Atomic_mem.mset done_m pid pos.(pid) next_j;
-        Shm.Metrics.on_write ledger ~p:pid;
-        Shm.Metrics.add_work ledger ~p:pid (2 * log_unit);
-        done_set := Ostree.add next_j !done_set;
-        free := Ostree.remove next_j !free;
-        pos.(pid) <- pos.(pid) + 1
-      end
-    end
-    else running := false
-  done;
-  List.rev !performed
+(* Process [pid]'s view of one KK instance's atomic registers. *)
+let atomic_mem ~next ~done_m ~pid =
+  {
+    Core.Kk_direct.cols = Atomic_mem.mcols done_m;
+    read_next = (fun q -> Atomic_mem.vget next q);
+    write_next = (fun v -> Atomic_mem.vset next pid v);
+    read_done = (fun q c -> Atomic_mem.mget done_m q c);
+    write_done = (fun c v -> Atomic_mem.mset done_m pid c v);
+  }
+
+(* The outcome of a joined run: [logs.(i)] is domain i + 1's jobs in
+   program order. *)
+let outcome ~ledgers ~wall_seconds logs =
+  let m = Array.length ledgers in
+  let metrics = Shm.Metrics.create ~m in
+  Array.iter (Shm.Metrics.merge metrics) ledgers;
+  let per_process = Array.make (m + 1) 0 in
+  let dos = ref [] in
+  Array.iteri
+    (fun i jobs ->
+      let pid = i + 1 in
+      per_process.(pid) <- List.length jobs;
+      List.iter (fun j -> dos := (pid, j) :: !dos) jobs)
+    logs;
+  { dos = List.rev !dos; per_process; wall_seconds; metrics }
 
 (* ---- IterativeKK(eps) on domains ---- *)
-
-type level_shared = {
-  lv_next : Atomic_mem.vector;
-  lv_done : Atomic_mem.matrix;
-  lv_flag : int Atomic.t;
-}
-
-(* One IterStepKK instance (Fig. 3 inner call) for process [pid] on
-   level [ls]: KK with the shared termination flag; returns the output
-   set FREE \ TRY (ids of this level's super-jobs). *)
-let iter_step_loop ~m ~beta ~policy ~ls ~pid ~free0 ~performed ~ledger =
-  let cols = Atomic_mem.mcols ls.lv_done in
-  let log_unit = Core.Params.log2_ceil (max 2 cols) in
-  let free = ref free0 in
-  let done_set = ref Ostree.empty in
-  let tries = ref Ostree.empty in
-  let pos = Array.make (m + 1) 1 in
-  let gather_try () =
-    tries := Ostree.empty;
-    for q = 1 to m do
-      if q <> pid then begin
-        let v = Atomic_mem.vget ls.lv_next q in
-        Shm.Metrics.on_read ledger ~p:pid;
-        if v > 0 then begin
-          tries := Ostree.add v !tries;
-          Shm.Metrics.add_work ledger ~p:pid log_unit
-        end
-      end
-    done
-  in
-  let gather_done () =
-    for q = 1 to m do
-      if q <> pid then begin
-        let continue = ref true in
-        while !continue do
-          if pos.(q) > cols then continue := false
-          else begin
-            let v = Atomic_mem.mget ls.lv_done q pos.(q) in
-            Shm.Metrics.on_read ledger ~p:pid;
-            if v > 0 then begin
-              done_set := Ostree.add v !done_set;
-              free := Ostree.remove v !free;
-              pos.(q) <- pos.(q) + 1;
-              Shm.Metrics.add_work ledger ~p:pid (2 * log_unit)
-            end
-            else continue := false
-          end
-        done
-      end
-    done
-  in
-  (* the termination sequence: flag is already set (or observed set);
-     recompute TRY and DONE, return FREE \ TRY *)
-  let finalize () =
-    gather_try ();
-    gather_done ();
-    Ostree.fold (fun x acc -> Ostree.remove x acc) !tries !free
-  in
-  let result = ref None in
-  while !result = None do
-    if Ostree.diff_cardinal !free !tries >= beta then begin
-      Shm.Metrics.on_internal ledger ~p:pid;
-      Shm.Metrics.add_work ledger ~p:pid
-        (Core.Policy.work_cost ~try_cardinal:(Ostree.cardinal !tries)
-           ~log_n:log_unit);
-      let id = Core.Policy.choose policy ~p:pid ~m ~free:!free ~try_set:!tries in
-      Atomic_mem.vset ls.lv_next pid id;
-      Shm.Metrics.on_write ledger ~p:pid;
-      gather_try ();
-      gather_done ();
-      Shm.Metrics.on_internal ledger ~p:pid;
-      Shm.Metrics.add_work ledger ~p:pid (2 * log_unit);
-      if (not (Ostree.mem id !tries)) && not (Ostree.mem id !done_set) then begin
-        let flag = Atomic.get ls.lv_flag in
-        Shm.Metrics.on_read ledger ~p:pid;
-        if flag = 1 then result := Some (finalize ())
-        else begin
-          performed id;
-          Shm.Metrics.on_internal ledger ~p:pid;
-          Shm.Metrics.add_work ledger ~p:pid 1;
-          Atomic_mem.mset ls.lv_done pid pos.(pid) id;
-          Shm.Metrics.on_write ledger ~p:pid;
-          Shm.Metrics.add_work ledger ~p:pid (2 * log_unit);
-          done_set := Ostree.add id !done_set;
-          free := Ostree.remove id !free;
-          pos.(pid) <- pos.(pid) + 1
-        end
-      end
-    end
-    else begin
-      Atomic.set ls.lv_flag 1;
-      Shm.Metrics.on_write ledger ~p:pid;
-      result := Some (finalize ())
-    end
-  done;
-  Option.get !result
 
 let run_iterative ~n ~m ~epsilon_inv () =
   if m < 1 || n < m then invalid_arg "Runner.run_iterative: need 1 <= m <= n";
   if epsilon_inv < 1 then
     invalid_arg "Runner.run_iterative: epsilon_inv must be >= 1";
-  let beta = 3 * m * m in
   let sizes = Core.Iterative.sizes ~n ~m ~epsilon_inv in
   let hierarchy = Core.Superjob.build ~n ~sizes in
   let num_levels = Core.Superjob.num_levels hierarchy in
+  (* per level: next, done and the termination flag *)
   let levels =
     Array.init num_levels (fun k ->
-        {
-          lv_next = Atomic_mem.vector ~len:m ~init:0;
-          lv_done =
-            Atomic_mem.matrix ~rows:m
-              ~cols:(Core.Superjob.block_count hierarchy k)
-              ~init:0;
-          lv_flag = Atomic.make 0;
-        })
+        ( Atomic_mem.vector ~len:m ~init:0,
+          Atomic_mem.matrix ~rows:m
+            ~cols:(Core.Superjob.block_count hierarchy k)
+            ~init:0,
+          Atomic.make 0 ))
   in
   let ledgers = Array.init m (fun _ -> Shm.Metrics.create ~m) in
   let t0 = Unix.gettimeofday () in
@@ -214,41 +59,29 @@ let run_iterative ~n ~m ~epsilon_inv () =
     Array.init m (fun i ->
         let pid = i + 1 in
         let ledger = ledgers.(i) in
+        let level l =
+          let next, done_m, flag = levels.(l) in
+          ( atomic_mem ~next ~done_m ~pid,
+            {
+              Core.Kk_direct.is_set = (fun () -> Atomic.get flag = 1);
+              set = (fun () -> Atomic.set flag 1);
+            } )
+        in
         Domain.spawn (fun () ->
             let performed = ref [] in
-            let free = ref (Core.Superjob.ids_at hierarchy 0) in
-            for level = 0 to num_levels - 1 do
-              let log id = performed := (level, id) :: !performed in
-              let out =
-                iter_step_loop ~m ~beta ~policy:Core.Policy.Rank_split
-                  ~ls:levels.(level) ~pid ~free0:!free ~performed:log ~ledger
-              in
-              if level + 1 < num_levels then
-                free := Core.Superjob.map_down hierarchy ~from_level:level out
-            done;
+            Core.Kk_direct.iterative ~ledger ~hierarchy ~m ~pid level
+              ~perform:(fun ~level id -> performed := (level, id) :: !performed);
             List.rev !performed))
   in
   let logs = Array.map Domain.join domains in
   let wall_seconds = Unix.gettimeofday () -. t0 in
-  let metrics = Shm.Metrics.create ~m in
-  Array.iter (Shm.Metrics.merge metrics) ledgers;
-  let per_process = Array.make (m + 1) 0 in
-  let dos = ref [] in
-  (* expand super-jobs into their constituent jobs; build reversed,
-     then flip once so the log is chronological per process *)
-  Array.iteri
-    (fun i log ->
-      let pid = i + 1 in
-      List.iter
-        (fun (level, id) ->
-          let lo, hi = Core.Superjob.interval hierarchy ~level ~id in
-          for j = lo to hi do
-            dos := (pid, j) :: !dos;
-            per_process.(pid) <- per_process.(pid) + 1
-          done)
-        log)
-    logs;
-  { dos = List.rev !dos; per_process; wall_seconds; metrics }
+  (* expand super-jobs into their constituent jobs *)
+  let jobs =
+    List.concat_map (fun (level, id) ->
+        let lo, hi = Core.Superjob.interval hierarchy ~level ~id in
+        List.init (hi - lo + 1) (fun k -> lo + k))
+  in
+  outcome ~ledgers ~wall_seconds (Array.map jobs logs)
 
 let run_kk ~n ~m ~beta ?(policy = fun ~pid:_ -> Core.Policy.Rank_split)
     ?(job_budget = fun ~pid:_ -> max_int) ?(sink = Obs.Sink.null) ?rings
@@ -265,7 +98,6 @@ let run_kk ~n ~m ~beta ?(policy = fun ~pid:_ -> Core.Policy.Rank_split)
   | _ -> ());
   let next = Atomic_mem.vector ~len:m ~init:0 in
   let done_m = Atomic_mem.matrix ~rows:m ~cols:n ~init:0 in
-  let log_unit = Core.Params.log2_ceil (max 2 n) in
   let ledgers = Array.init m (fun _ -> Shm.Metrics.create ~m) in
   (* all domains share [sink]; the caller must pass a {!Obs.Sink.locked}
      wrapper (or null) — a fetch-and-add counter provides a global
@@ -314,10 +146,15 @@ let run_kk ~n ~m ~beta ?(policy = fun ~pid:_ -> Core.Policy.Rank_split)
         let budget = job_budget ~pid in
         let ledger = ledgers.(i) in
         let emit = emit_for pid in
+        let mem = atomic_mem ~next ~done_m ~pid in
         Domain.spawn (fun () ->
             let body () =
-              process_loop ~n ~m ~beta ~policy:pol ~budget ~next ~done_m ~pid
-                ~ledger ~log_unit ~emit
+              let performed = ref [] in
+              Core.Kk_direct.kk ~ledger ~budget ~m ~beta ~policy:pol ~pid mem
+                ~do_job:(fun j ->
+                  performed := j :: !performed;
+                  emit j);
+              List.rev !performed
             in
             if instrument then Obs.Rtevents.with_span "mc.domain" body
             else body ()))
@@ -329,14 +166,4 @@ let run_kk ~n ~m ~beta ?(policy = fun ~pid:_ -> Core.Policy.Rank_split)
       Obs.Rtevents.emit_end "mc.run";
       ignore (Obs.Rtevents.poll re)
   | None -> ());
-  let metrics = Shm.Metrics.create ~m in
-  Array.iter (Shm.Metrics.merge metrics) ledgers;
-  let per_process = Array.make (m + 1) 0 in
-  let dos = ref [] in
-  Array.iteri
-    (fun i jobs ->
-      let pid = i + 1 in
-      per_process.(pid) <- List.length jobs;
-      List.iter (fun j -> dos := (pid, j) :: !dos) jobs)
-    logs;
-  { dos = List.rev !dos; per_process; wall_seconds; metrics }
+  outcome ~ledgers ~wall_seconds logs

@@ -1,12 +1,12 @@
 (** KKβ on real parallel hardware.
 
-    Runs the same algorithm as {!Core.Kk} — a line-for-line
-    transcription of Fig. 2, with the same {!Core.Policy} candidate
-    rule and the same {!Ostree} sets — but with each process on its
-    own OCaml 5 domain and every shared cell an atomic register.  The
-    scheduler is now the actual machine, so this cannot explore
-    worst-case interleavings (that is the simulator's job); what it
-    demonstrates is that the algorithm's safety does not depend on any
+    Runs {!Core.Kk_direct} — Fig. 2 in direct style, with the same
+    {!Core.Policy} candidate rule and {!Ostree} sets as {!Core.Kk},
+    and the same body the message-passing backend runs — with each
+    process on its own OCaml 5 domain and every shared cell an atomic
+    register.  The scheduler is now the actual machine, so this
+    cannot explore worst-case interleavings (that is the simulator's
+    job); what it demonstrates is that the algorithm's safety does not depend on any
     simulator artifact: at-most-once must hold on every real run too
     (experiment E9, and a property test in the suite).
 
@@ -23,11 +23,11 @@ type outcome = {
   wall_seconds : float;
   metrics : Shm.Metrics.t;
       (** merged per-domain ledgers: each domain counts its own
-          reads/writes/internals and mirrors the simulator's work
-          charges (rank cost per [compNext], tree-op units per gather
-          hit and done-set update), so multicore work totals are
-          directly comparable with {!Core.Kk} runs and with Theorem
-          5.6's bound *)
+          reads/writes/internals and work units as {!Core.Kk_direct}
+          charges them (rank cost per [compNext], tree-op units per
+          gather hit and done-set update) — the simulator's scheme
+          minus a few charges that {!Core.Kk_direct} lists, so totals
+          sit slightly below a {!Core.Kk} run's *)
 }
 
 val run_kk :
@@ -81,8 +81,8 @@ val run_iterative : n:int -> m:int -> epsilon_inv:int -> unit -> outcome
 (** The full IterativeKK(ε) (at-most-once variant, §6) on real
     domains: per-level atomic [next]/[done]/flag, the IterStepKK
     termination protocol (set flag → re-gather → output FREE \ TRY),
-    and per-process [map] between levels — a transcription of
-    Fig. 3 with β = 3m².  [dos] reports individual jobs (super-jobs
+    and per-process [map] between levels — {!Core.Kk_direct.iterative}
+    with β = 3m².  [dos] reports individual jobs (super-jobs
     expanded), so the same {!Core.Spec} checker applies.
     @raise Invalid_argument unless [1 <= m <= n] and
     [epsilon_inv >= 1]. *)

@@ -27,3 +27,24 @@ let schedulers_for seed =
   ]
 
 let qtest = QCheck_alcotest.to_alcotest
+
+(* Running the amo_run CLI from a test (the binary is a test dep). *)
+let amo_exe () =
+  List.find Sys.file_exists
+    [ "../bin/amo_run.exe"; "bin/amo_run.exe"; "_build/default/bin/amo_run.exe" ]
+
+let run_capture cmd =
+  let ic = Unix.open_process_in cmd in
+  let buf = Buffer.create 1024 in
+  (try
+     while true do
+       Buffer.add_channel buf ic 1
+     done
+   with End_of_file -> ());
+  let status = Unix.close_process_in ic in
+  (Buffer.contents buf, status)
+
+let exit_code = function
+  | Unix.WEXITED c -> c
+  | Unix.WSIGNALED s -> Alcotest.failf "killed by signal %d" s
+  | Unix.WSTOPPED s -> Alcotest.failf "stopped by signal %d" s

@@ -430,75 +430,55 @@ let test_net_journals_merge () =
 
 (* ---- amo_run trace CLI: help golden and exit codes ---- *)
 
-let amo_exe () =
-  List.find Sys.file_exists
-    [ "../bin/amo_run.exe"; "bin/amo_run.exe"; "_build/default/bin/amo_run.exe" ]
-
-let run_capture cmd =
-  let ic = Unix.open_process_in cmd in
-  let buf = Buffer.create 1024 in
-  (try
-     while true do
-       Buffer.add_channel buf ic 1
-     done
-   with End_of_file -> ());
-  let status = Unix.close_process_in ic in
-  (Buffer.contents buf, status)
-
-let exit_code = function
-  | Unix.WEXITED c -> c
-  | Unix.WSIGNALED s -> Alcotest.failf "killed by signal %d" s
-  | Unix.WSTOPPED s -> Alcotest.failf "stopped by signal %d" s
-
 let test_trace_help_golden () =
   let out, status =
-    run_capture (Filename.quote (amo_exe ()) ^ " trace --help")
+    Helpers.run_capture (Filename.quote (Helpers.amo_exe ()) ^ " trace --help")
   in
   Alcotest.(check string) "help text" (read_file (golden "trace_help.txt")) out;
-  Alcotest.(check int) "--help exits 0" 0 (exit_code status)
+  Alcotest.(check int) "--help exits 0" 0 (Helpers.exit_code status)
 
 let test_trace_exit_codes () =
-  let exe = Filename.quote (amo_exe ()) in
+  let exe = Filename.quote (Helpers.amo_exe ()) in
   let dir = temp_dir "amo_trace" in
   let fdir = Filename.concat dir "flight" in
   (* produce a journal via kk --flight-out *)
   let _, status =
-    run_capture
+    Helpers.run_capture
       (Printf.sprintf
          "%s kk --jobs 20 --procs 3 --beta 3 --seed 7 --flight-out %s \
           >/dev/null 2>&1"
          exe (Filename.quote fdir))
   in
-  Alcotest.(check int) "kk --flight-out exits 0" 0 (exit_code status);
+  Alcotest.(check int) "kk --flight-out exits 0" 0 (Helpers.exit_code status);
   Alcotest.(check bool) "manifest written" true
     (Sys.file_exists (Filename.concat fdir "manifest.json"));
   (* 0: clean decode, JSONL on stdout *)
   let out, status =
-    run_capture
+    Helpers.run_capture
       (Printf.sprintf "%s trace decode --in %s 2>/dev/null" exe
          (Filename.quote fdir))
   in
-  Alcotest.(check int) "clean decode exits 0" 0 (exit_code status);
+  Alcotest.(check int) "clean decode exits 0" 0 (Helpers.exit_code status);
   Alcotest.(check bool) "decode emits JSONL" true
     (String.length out > 0 && out.[0] = '{');
   (* query finds the run's Do records *)
   let out_q, status =
-    run_capture
+    Helpers.run_capture
       (Printf.sprintf
          "%s trace query --in %s --name 'do(' --fail-empty 2>/dev/null" exe
          (Filename.quote fdir))
   in
-  Alcotest.(check int) "matching query exits 0" 0 (exit_code status);
+  Alcotest.(check int) "matching query exits 0" 0 (Helpers.exit_code status);
   Alcotest.(check bool) "query output is a filtered subset" true
     (String.length out_q > 0 && String.length out_q < String.length out);
   (* 1: --fail-empty with no match *)
   let _, status =
-    run_capture
+    Helpers.run_capture
       (Printf.sprintf
          "%s trace query --in %s --name zzz --fail-empty >/dev/null 2>&1" exe
          (Filename.quote fdir))
   in
-  Alcotest.(check int) "no match + --fail-empty exits 1" 1 (exit_code status);
+  Alcotest.(check int) "no match + --fail-empty exits 1" 1 (Helpers.exit_code status);
   (* 2: truncated segment *)
   let seg = Filename.concat fdir "segment-000.amoj" in
   let whole = read_file seg in
@@ -507,11 +487,11 @@ let test_trace_exit_codes () =
   output_string oc (String.sub whole 0 (String.length whole - 2));
   close_out oc;
   let out_t, status =
-    run_capture
+    Helpers.run_capture
       (Printf.sprintf "%s trace decode --in %s 2>/dev/null" exe
          (Filename.quote trunc))
   in
-  Alcotest.(check int) "damaged journal exits 2" 2 (exit_code status);
+  Alcotest.(check int) "damaged journal exits 2" 2 (Helpers.exit_code status);
   Alcotest.(check bool) "prior records still printed" true
     (String.length out_t > 0);
   (* merge is deterministic across repeated CLI runs *)
@@ -519,10 +499,10 @@ let test_trace_exit_codes () =
     Printf.sprintf "%s trace merge --in %s --in %s 2>/dev/null" exe
       (Filename.quote fdir) (Filename.quote fdir)
   in
-  let m1, s1 = run_capture merge_cmd in
-  let m2, s2 = run_capture merge_cmd in
-  Alcotest.(check int) "merge exits 0" 0 (exit_code s1);
-  Alcotest.(check int) "merge exits 0 again" 0 (exit_code s2);
+  let m1, s1 = Helpers.run_capture merge_cmd in
+  let m2, s2 = Helpers.run_capture merge_cmd in
+  Alcotest.(check int) "merge exits 0" 0 (Helpers.exit_code s1);
+  Alcotest.(check int) "merge exits 0 again" 0 (Helpers.exit_code s2);
   Alcotest.(check string) "repeated merges byte-identical" m1 m2
 
 let suite =

@@ -244,26 +244,6 @@ let test_skip_check_found_and_shrunk () =
 
 (* ---- amo_run fuzz CLI: help golden and exit codes ---- *)
 
-let amo_exe () =
-  List.find Sys.file_exists
-    [ "../bin/amo_run.exe"; "bin/amo_run.exe"; "_build/default/bin/amo_run.exe" ]
-
-let run_capture cmd =
-  let ic = Unix.open_process_in cmd in
-  let buf = Buffer.create 1024 in
-  (try
-     while true do
-       Buffer.add_channel buf ic 1
-     done
-   with End_of_file -> ());
-  let status = Unix.close_process_in ic in
-  (Buffer.contents buf, status)
-
-let exit_code = function
-  | Unix.WEXITED c -> c
-  | Unix.WSIGNALED s -> Alcotest.failf "killed by signal %d" s
-  | Unix.WSTOPPED s -> Alcotest.failf "stopped by signal %d" s
-
 let temp_dir prefix =
   let path = Filename.temp_file prefix "" in
   Sys.remove path;
@@ -272,32 +252,32 @@ let temp_dir prefix =
 
 let test_fuzz_help_golden () =
   let out, status =
-    run_capture (Filename.quote (amo_exe ()) ^ " fuzz --help")
+    Helpers.run_capture (Filename.quote (Helpers.amo_exe ()) ^ " fuzz --help")
   in
   Alcotest.(check string) "help text" (read_file (golden "fuzz_help.txt")) out;
-  Alcotest.(check int) "--help exits 0" 0 (exit_code status)
+  Alcotest.(check int) "--help exits 0" 0 (Helpers.exit_code status)
 
 let test_fuzz_exit_codes () =
-  let exe = Filename.quote (amo_exe ()) in
+  let exe = Filename.quote (Helpers.amo_exe ()) in
   (* 0: a clean bounded run on the real algorithm *)
   let out_dir = temp_dir "amo_fuzz_out" in
   let _, status =
-    run_capture
+    Helpers.run_capture
       (Printf.sprintf
          "%s fuzz --budget 40 --jobs 4 --procs 2 --seed 3 --out-dir %s \
           >/dev/null 2>&1"
          exe (Filename.quote out_dir))
   in
-  Alcotest.(check int) "clean run exits 0" 0 (exit_code status);
+  Alcotest.(check int) "clean run exits 0" 0 (Helpers.exit_code status);
   (* 1: a violation found (seeded mutant, stop at first find) *)
   let _, status =
-    run_capture
+    Helpers.run_capture
       (Printf.sprintf
          "%s fuzz --budget 400 --jobs 4 --procs 2 --seed 1 --algo skip-check \
           --stop-on-violation --out-dir %s >/dev/null 2>&1"
          exe (Filename.quote out_dir))
   in
-  Alcotest.(check int) "violation found exits 1" 1 (exit_code status);
+  Alcotest.(check int) "violation found exits 1" 1 (Helpers.exit_code status);
   (* the counterexample artifact lands in --out-dir and replays *)
   let artifacts =
     Sys.readdir out_dir |> Array.to_list
@@ -316,12 +296,12 @@ let test_fuzz_exit_codes () =
   output_string oc "{ not json";
   close_out oc;
   let _, status =
-    run_capture
+    Helpers.run_capture
       (Printf.sprintf
          "%s fuzz --budget 20 --jobs 4 --procs 2 --corpus %s >/dev/null 2>&1"
          exe (Filename.quote bad_dir))
   in
-  Alcotest.(check int) "bad corpus exits 2" 2 (exit_code status)
+  Alcotest.(check int) "bad corpus exits 2" 2 (Helpers.exit_code status)
 
 let suite =
   [

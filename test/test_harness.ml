@@ -54,6 +54,19 @@ let test_iterative_verbose_full_trace () =
     (rows.(1).Analysis.Timeline.reads > 0);
   Helpers.check_amo (Shm.Trace.do_events outcome.Shm.Executor.trace)
 
+(* A run stopped by the executor's step cap (n = 400000 at m = 1
+   needs about 2.8 M steps; the default cap is 1 M) must not pass. *)
+let test_cli_truncated_run_fails () =
+  let out, status =
+    Helpers.run_capture
+      (Filename.quote (Helpers.amo_exe ()) ^ " kk -n 400000 -m 1 2>&1")
+  in
+  Alcotest.(check bool) "prints a truncated line" true
+    (List.exists
+       (String.starts_with ~prefix:"truncated")
+       (String.split_on_char '\n' out));
+  Alcotest.(check int) "exits 1" 1 (Helpers.exit_code status)
+
 let suite =
   [
     Alcotest.test_case "kk defaults" `Quick test_kk_defaults;
@@ -63,4 +76,6 @@ let suite =
     Alcotest.test_case "claim-scan wrapper" `Quick test_claim_scan_wrapper;
     Alcotest.test_case "iterative verbose full trace" `Quick
       test_iterative_verbose_full_trace;
+    Alcotest.test_case "cli: truncated kk run exits 1" `Quick
+      test_cli_truncated_run_fails;
   ]

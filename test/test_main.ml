@@ -33,4 +33,5 @@ let () =
       ("fault", Test_fault.suite);
       ("fuzz", Test_fuzz.suite);
       ("conformance", Test_conformance.suite);
+      ("backends", Test_backends.suite);
     ]
