@@ -112,6 +112,7 @@ let summary_json ~label ~n ~m extra (s : Core.Harness.summary) =
        ("do_count", J.Int s.do_count);
        ("upper_bound", J.Int (Core.Params.effectiveness_upper_bound ~n ~f));
        ("wait_free", J.Bool s.wait_free);
+       ("truncated", J.Bool (not s.wait_free));
        ("steps", J.Int s.steps);
        ("crashed", J.List (List.map (fun p -> J.Int p) s.crashed));
        ("work", J.Int (Shm.Metrics.total_work s.metrics));

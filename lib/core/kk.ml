@@ -89,7 +89,6 @@ type t = {
   initial_free : Set.t;
   mutable status : status;
   mutable free : Set.t;
-  mutable done_set : Set.t;
   mutable tries : Set.t;
   pos : int array; (* pos.(q), 1-based, next cell of row q to read/write *)
   mutable next_j : int;
@@ -145,7 +144,6 @@ let create ~shared ~pid ~beta ~policy ~free ?collision
     initial_free = free;
     status = Comp_next;
     free;
-    done_set = Set.empty;
     tries = Set.empty;
     pos = Array.make (shared.sh_m + 1) 1;
     next_j = 0;
@@ -297,7 +295,6 @@ let step_gather_done t =
       let v = Memory.mget t.shared.done_m ~p:t.pid t.q c in
       let ev = mread_event t t.shared.done_m t.q c v in
       if v > 0 then begin
-        t.done_set <- Set.add v t.done_set;
         t.free <- Set.remove v t.free;
         if t.blame && not (Hashtbl.mem t.done_owner v) then
           Hashtbl.add t.done_owner v t.q;
@@ -345,12 +342,13 @@ let record_collision t =
       | Some q when q <> t.pid -> Collision.record c ~p:t.pid ~q ~job:t.next_j
       | _ -> ())
 
+(* "next ∉ DONE" is "next ∈ FREE": next came from FREE₀ (kk.mli) *)
 let step_check t =
   Metrics.on_internal (metrics t) ~p:t.pid;
   Metrics.add_work (metrics t) ~p:t.pid (2 * t.shared.log_unit);
   let safe =
     t.mutant_skip_check
-    || ((not (Set.mem t.next_j t.tries)) && not (Set.mem t.next_j t.done_set))
+    || ((not (Set.mem t.next_j t.tries)) && Set.mem t.next_j t.free)
   in
   if safe then begin
     (match t.mode with
@@ -394,7 +392,6 @@ let step_done_write t =
   assert (c <= cols t);
   Memory.mset t.shared.done_m ~p:t.pid t.pid c t.next_j;
   let ev = mwrite_event t t.shared.done_m t.pid c t.next_j in
-  t.done_set <- Set.add t.next_j t.done_set;
   t.free <- Set.remove t.next_j t.free;
   t.pos.(t.pid) <- c + 1;
   Metrics.add_work (metrics t) ~p:t.pid (2 * t.shared.log_unit);
@@ -416,8 +413,8 @@ let step_done_write t =
      subtracts one per restart) but restores Lemma 4.1's invariant
      that any possibly-performed job is recorded as done.
 
-   After [rec_mark] the process re-enters [comp_next] with empty TRY
-   and DONE; the normal gather phases re-learn everyone else's state.
+   After [rec_mark] the process re-enters [comp_next] with empty TRY,
+   FREE₀ less its own row; the gather phases re-learn the rest.
 
    [mutant_skip_recovery_mark] is the seeded recovery-path fault for
    the test suite: it jumps from [rec_scan] straight to [comp_next],
@@ -434,7 +431,6 @@ let step_rec_scan t =
     let v = Memory.mget t.shared.done_m ~p:t.pid t.pid c in
     let ev = mread_event t t.shared.done_m t.pid c v in
     if v > 0 then begin
-      t.done_set <- Set.add v t.done_set;
       t.free <- Set.remove v t.free;
       t.pos.(t.pid) <- c + 1;
       Metrics.add_work (metrics t) ~p:t.pid (2 * t.shared.log_unit)
@@ -451,7 +447,7 @@ let step_rec_scan t =
 let step_rec_next t =
   let v = Memory.vget t.shared.next ~p:t.pid t.pid in
   let ev = vread_event t t.shared.next t.pid v in
-  if v > 0 && not (Set.mem v t.done_set) then begin
+  if v > 0 && Set.mem v t.free then begin
     t.rec_suspect <- v;
     t.status <- Rec_mark
   end
@@ -475,7 +471,6 @@ let step_rec_mark t =
       if t.provenance then [ Event.Recover { p = t.pid; job = t.rec_suspect } ]
       else []
     in
-    t.done_set <- Set.add t.rec_suspect t.done_set;
     t.free <- Set.remove t.rec_suspect t.free;
     t.pos.(t.pid) <- c + 1;
     Metrics.add_work (metrics t) ~p:t.pid (2 * t.shared.log_unit);
@@ -488,7 +483,6 @@ let restart t =
   if t.status <> Stop then false
   else begin
     t.free <- t.initial_free;
-    t.done_set <- Set.empty;
     t.tries <- Set.empty;
     Hashtbl.reset t.try_owner;
     Hashtbl.reset t.done_owner;
@@ -588,7 +582,6 @@ let fingerprint t =
   let h = bool h t.finalizing in
   let h = combine h t.rec_suspect in
   let h = combine h (hash_set t.free) in
-  let h = combine h (hash_set t.done_set) in
   let h = combine h (hash_set t.tries) in
   let h = Array.fold_left combine h t.pos in
   let h = combine h (Memory.vhash t.shared.next) in
@@ -626,7 +619,6 @@ let collisions_detected t = t.n_collisions
 let status_name t = status_to_string t.status
 let free_set t = t.free
 let try_set t = t.tries
-let done_set t = t.done_set
 let announced t = t.next_j
 
 end

@@ -31,7 +31,16 @@
     [perform] callback expanding one item into its constituent [Do]
     events.
 
-    The algorithm only needs its FREE/DONE/TRY sets through the
+    {b DONE is implicit} as FREE₀ \ FREE (FREE₀ the initial FREE): each
+    update adding a job to DONE ([gather_done], [done], [rec_scan],
+    [rec_mark]) removes it from FREE, nothing else shrinks FREE, and
+    [restart] resets both, so FREE = FREE₀ \ DONE always holds.  DONE
+    is only asked about jobs from FREE₀ (the [check] candidate, picked
+    from FREE; in [rec_next], the process's own announcement), and for
+    those "j ∈ DONE" is "j ∉ FREE".  Work charges still model Fig. 2's
+    two tree operations per DONE update.
+
+    The algorithm only needs its FREE/TRY sets through the
     order-statistic interface {!Set_intf.S} ("red-black tree or some
     variant of B-tree", §3), so the implementation is a functor; the
     toplevel values are the default instantiation over {!Ostree}
@@ -99,7 +108,7 @@ module type S = Kk_intf.S
     - [result] is the IterStepKK output set ([Some] once terminated in
       [Iter_step] mode).
     - [do_count], [collisions_detected], [status_name], [free_set],
-      [try_set], [done_set], [announced]: introspection. *)
+      [try_set], [announced]: introspection; DONE is FREE₀ \ [free_set]. *)
 
 module Make (Set : Set_intf.S) : S with type set = Set.t
 (** KKβ over an arbitrary order-statistic backend. *)

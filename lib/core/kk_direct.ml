@@ -10,9 +10,10 @@ type flag = { is_set : unit -> bool; set : unit -> unit }
 
 (* Work charges follow Core.Kk's scheme — the rank cost per compNext,
    one tree-op unit (log_unit = ⌈log₂ cols⌉) per TRY hit, two per DONE
-   hit, two for the post-gather check, one per do, two per own
-   done-write — with three differences, so totals come out a little
-   below the simulator's:
+   hit (Fig. 2's DONE insert and FREE delete, though DONE is implicit
+   as FREE₀ \ FREE), two for the post-gather check, one per do, two per
+   own done-write — with three differences, so totals come out a
+   little below the simulator's:
    - the compNext that finds |FREE \ TRY| < β is free here; Core.Kk
      charges its rank cost, one more log_unit per instance at m = 1
      (KKβ n=200 β=1 m=1: 8200 here, 8208 from Core.Harness.kk);
@@ -39,7 +40,6 @@ let run ~ledger ?flag ?(budget = max_int) ~m ~beta ~policy ~pid ~free mem
   let log_unit = Params.log2_ceil (max 2 cols) in
   let module M = Shm.Metrics in
   let free = ref free in
-  let done_set = ref Ostree.empty in
   let tries = ref Ostree.empty in
   let pos = Array.make (m + 1) 1 in
   let count = ref 0 in
@@ -64,7 +64,6 @@ let run ~ledger ?flag ?(budget = max_int) ~m ~beta ~policy ~pid ~free mem
           let v = mem.read_done q pos.(q) in
           M.on_read ledger ~p:pid;
           if v > 0 then begin
-            done_set := Ostree.add v !done_set;
             free := Ostree.remove v !free;
             pos.(q) <- pos.(q) + 1;
             M.add_work ledger ~p:pid (2 * log_unit)
@@ -108,7 +107,8 @@ let run ~ledger ?flag ?(budget = max_int) ~m ~beta ~policy ~pid ~free mem
       gather_done ();
       M.on_internal ledger ~p:pid;
       M.add_work ledger ~p:pid (2 * log_unit);
-      if Ostree.mem job !tries || Ostree.mem job !done_set then loop ()
+      (* job ∈ DONE iff job ∉ FREE: it was picked from FREE₀ (kk.mli) *)
+      if Ostree.mem job !tries || not (Ostree.mem job !free) then loop ()
       else if flag_set () then finalize ()
       else begin
         do_job job;
@@ -118,7 +118,6 @@ let run ~ledger ?flag ?(budget = max_int) ~m ~beta ~policy ~pid ~free mem
         mem.write_done pos.(pid) job;
         M.on_write ledger ~p:pid;
         M.add_work ledger ~p:pid (2 * log_unit);
-        done_set := Ostree.add job !done_set;
         free := Ostree.remove job !free;
         pos.(pid) <- pos.(pid) + 1;
         loop ()

@@ -60,7 +60,5 @@ module type S = sig
 
   val try_set : t -> set
 
-  val done_set : t -> set
-
   val announced : t -> int
 end

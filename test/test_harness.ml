@@ -67,6 +67,28 @@ let test_cli_truncated_run_fails () =
        (String.split_on_char '\n' out));
   Alcotest.(check int) "exits 1" 1 (Helpers.exit_code status)
 
+(* The JSON summary states the same verdict: [truncated] is true for a
+   run stopped at the step cap and false for one that quiesced. *)
+let test_cli_json_truncated () =
+  let run args =
+    let out, status =
+      Helpers.run_capture (Filename.quote (Helpers.amo_exe ()) ^ args)
+    in
+    let truncated =
+      match Obs.Json.parse out with
+      | Ok j -> Option.bind (Obs.Json.member "truncated" j) Obs.Json.get_bool
+      | Error e -> Alcotest.failf "%s: bad JSON (%s)" args e
+    in
+    (truncated, Helpers.exit_code status)
+  in
+  let truncated, code = run " kk -n 400000 -m 1 --json" in
+  Alcotest.(check (option bool)) "cut run: truncated" (Some true) truncated;
+  Alcotest.(check int) "cut run: exits 1" 1 code;
+  let truncated, code = run " kk -n 200 -m 4 --json" in
+  Alcotest.(check (option bool)) "passing run: not truncated" (Some false)
+    truncated;
+  Alcotest.(check int) "passing run: exits 0" 0 code
+
 let suite =
   [
     Alcotest.test_case "kk defaults" `Quick test_kk_defaults;
@@ -78,4 +100,6 @@ let suite =
       test_iterative_verbose_full_trace;
     Alcotest.test_case "cli: truncated kk run exits 1" `Quick
       test_cli_truncated_run_fails;
+    Alcotest.test_case "cli: --json reports truncated" `Quick
+      test_cli_json_truncated;
   ]

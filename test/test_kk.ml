@@ -242,19 +242,14 @@ let test_internal_invariants_during_run () =
     if Array.length alive > 0 && !steps < 100_000 then begin
       incr steps;
       ignore (handles.(Shm.Schedule.choose sched ~alive - 1).Shm.Automaton.step ());
-      (* invariants from the paper: |TRY| < m; FREE ∩ DONE = ∅;
-         announced job, once set, is a real job id *)
+      (* invariants from the paper: |TRY| < m; announced job, once
+         set, is a real job id.  FREE ∩ DONE = ∅ is checked against a
+         reference DONE by [prop_free_is_free0_minus_done]. *)
       Array.iter
         (fun p ->
           let tries = Core.Kk.try_set p in
           if Ostree.cardinal tries >= m then
             Alcotest.failf "|TRY| = %d >= m" (Ostree.cardinal tries);
-          let free = Core.Kk.free_set p and done_ = Core.Kk.done_set p in
-          Ostree.iter
-            (fun x ->
-              if Ostree.mem x done_ then
-                Alcotest.failf "job %d in FREE and DONE" x)
-            free;
           let a = Core.Kk.announced p in
           if a <> 0 && not (Core.Job.is_valid ~n a) then
             Alcotest.failf "bad announcement %d" a)
@@ -267,19 +262,41 @@ let test_internal_invariants_during_run () =
 
 let test_done_set_matches_shared_memory () =
   let n = 40 and m = 3 in
-  let procs, handles = make_kk_instance ~n ~m ~beta:m in
-  let outcome =
-    Shm.Executor.run
-      ~scheduler:(Shm.Schedule.round_robin ())
-      ~adversary:Shm.Adversary.none handles
+  let metrics = Shm.Metrics.create ~m in
+  let shared = Core.Kk.make_shared ~metrics ~m ~capacity:n ~name:"kk" () in
+  let procs =
+    Array.init m (fun i ->
+        Core.Kk.create ~shared ~pid:(i + 1) ~beta:m
+          ~policy:Core.Policy.Rank_split ~free:(Core.Job.universe ~n)
+          ~verbose:true ~mode:Core.Kk.Standalone ())
   in
-  let dos = Shm.Trace.do_events outcome.Shm.Executor.trace in
+  let outcome =
+    Shm.Executor.run ~trace_level:`Full
+      ~scheduler:(Shm.Schedule.round_robin ())
+      ~adversary:Shm.Adversary.none (Array.map Core.Kk.handle procs)
+  in
+  let trace = outcome.Shm.Executor.trace in
+  let dos = Shm.Trace.do_events trace in
   check_amo dos;
-  (* every performed job ends up in the performer's DONE set *)
+  (* the jobs each process wrote to its own done row *)
+  let own_row = Array.make (m + 1) Ostree.empty in
+  List.iter
+    (fun e ->
+      match e.Shm.Trace.event with
+      | Shm.Event.Write { p; cell; value; _ }
+        when String.starts_with ~prefix:(Printf.sprintf "kk.done[%d][" p) cell
+        ->
+          own_row.(p) <- Ostree.add value own_row.(p)
+      | _ -> ())
+    (Shm.Trace.entries trace);
+  (* every performed job has left the performer's FREE (it is in its
+     DONE) and is recorded in the performer's own done row *)
   List.iter
     (fun (p, j) ->
-      if not (Ostree.mem j (Core.Kk.done_set procs.(p - 1))) then
-        Alcotest.failf "p%d did %d but DONE misses it" p j)
+      if Ostree.mem j (Core.Kk.free_set procs.(p - 1)) then
+        Alcotest.failf "p%d did %d but it is still in FREE" p j;
+      if not (Ostree.mem j own_row.(p)) then
+        Alcotest.failf "p%d did %d but its done row misses it" p j)
     dos;
   (* per-process do_count agrees with the trace *)
   let counts = Core.Spec.per_process_counts ~m dos in
@@ -427,6 +444,143 @@ let test_heterogeneous_free_sets () =
       if j < lo || j > hi then Alcotest.failf "p%d did foreign job %d" p j)
     dos
 
+(* ---- the paper's DONE, rebuilt from the shared-memory accesses ---- *)
+
+(* Fig. 2's DONE set of each process is every job it has read from, or
+   written to, a [done] cell since its last (re)start.  [with_done_ref]
+   wraps the handles of verbose processes so that each step folds its
+   [Read]/[Write] events on [kk.done[r][c]] into a per-process
+   reference DONE, and then checks, for every process, FREE ∩ DONE = ∅
+   and FREE = FREE₀ \ DONE.  [on_restart pid] resets pid's reference
+   DONE; call it when a restart takes. *)
+let with_done_ref ~free0 kks =
+  let done_ref = Array.map (fun _ -> Ostree.empty) kks in
+  let check_all () =
+    Array.iteri
+      (fun i k ->
+        let free = Core.Kk.free_set k and done_ = done_ref.(i) in
+        Ostree.iter
+          (fun x ->
+            if Ostree.mem x done_ then
+              QCheck.Test.fail_reportf "p%d: job %d in FREE and DONE" (i + 1)
+                x)
+          free;
+        let expected = Ostree.fold Ostree.remove done_ free0.(i) in
+        if Ostree.elements free <> Ostree.elements expected then
+          QCheck.Test.fail_reportf
+            "p%d: FREE (%d jobs) <> FREE0 \\ DONE (%d jobs)" (i + 1)
+            (Ostree.cardinal free) (Ostree.cardinal expected))
+      kks
+  in
+  let record = function
+    | Shm.Event.Read { p; cell; value; _ }
+    | Shm.Event.Write { p; cell; value; _ }
+      when value > 0 && String.starts_with ~prefix:"kk.done[" cell ->
+        done_ref.(p - 1) <- Ostree.add value done_ref.(p - 1)
+    | _ -> ()
+  in
+  let handles =
+    Array.map
+      (fun k ->
+        let h = Core.Kk.handle k in
+        {
+          h with
+          Shm.Automaton.step =
+            (fun () ->
+              let evs = h.Shm.Automaton.step () in
+              List.iter record evs;
+              check_all ();
+              evs);
+        })
+      kks
+  in
+  let on_restart pid =
+    done_ref.(pid - 1) <- Ostree.empty;
+    check_all ()
+  in
+  (handles, on_restart)
+
+let prop_free_is_free0_minus_done =
+  QCheck.Test.make
+    ~name:"FREE = FREE0 \\ DONE, DONE rebuilt from done-cell accesses"
+    ~count:40
+    QCheck.(pair (int_range 0 1_000_000) (int_range 2 5))
+    (fun (seed, m) ->
+      let m = max 2 m in
+      let rng = Util.Prng.of_int seed in
+      let n = 8 + Util.Prng.int rng 40 in
+      let beta = m + Util.Prng.int rng m in
+      let make ?(with_flag = false) ?(mutant_skip_recovery_mark = false) ~mode
+          frees =
+        let metrics = Shm.Metrics.create ~m in
+        let capacity =
+          Array.fold_left (fun c f -> Ostree.fold max f c) 1 frees
+        in
+        let shared =
+          Core.Kk.make_shared ~metrics ~m ~capacity ~with_flag ~name:"kk" ()
+        in
+        let kks =
+          Array.mapi
+            (fun i free ->
+              Core.Kk.create ~shared ~pid:(i + 1) ~beta
+                ~policy:Core.Policy.Rank_split ~free ~verbose:true
+                ~mutant_skip_recovery_mark ~mode ())
+            frees
+        in
+        let handles, on_restart = with_done_ref ~free0:frees kks in
+        (metrics, kks, handles, on_restart)
+      in
+      let run ?restarter ~scheduler ~adversary handles =
+        ignore
+          (Shm.Executor.run ~max_steps:1_000_000 ?restarter ~scheduler
+             ~adversary handles)
+      in
+      (* standalone KK under random crashes *)
+      let _, _, handles, _ =
+        make ~mode:Core.Kk.Standalone (Array.make m (Core.Job.universe ~n))
+      in
+      run ~scheduler:(Shm.Schedule.random (Util.Prng.split rng))
+        ~adversary:
+          (Shm.Adversary.random (Util.Prng.split rng) ~f:(m - 1) ~m
+             ~horizon:(4 * n * m))
+        handles;
+      (* IterStepKK with overlapping, unequal FREE sets: DONE picks up
+         jobs outside a process's own FREE0 *)
+      let frees =
+        Array.init m (fun i ->
+            Core.Job.range_set ~lo:(1 + (i * n / 2)) ~hi:(n + (i * n / 2)))
+      in
+      let _, _, handles, _ =
+        make ~with_flag:true
+          ~mode:(Core.Kk.Iter_step { keep_try = Util.Prng.bool rng })
+          frees
+      in
+      run ~scheduler:(Shm.Schedule.random (Util.Prng.split rng))
+        ~adversary:
+          (Shm.Adversary.random (Util.Prng.split rng) ~f:(m - 1) ~m
+             ~horizon:(4 * n * m))
+        handles;
+      (* chaos plans with restarts; DONE restarts empty with FREE0 *)
+      let mutant = Util.Prng.bool rng in
+      let plan =
+        Fault.Plan.gen ~recovery:true ~name:"done-ref" ~n ~m ~beta
+          (Util.Prng.split rng)
+      in
+      let metrics, kks, handles, on_restart =
+        make ~mutant_skip_recovery_mark:mutant ~mode:Core.Kk.Standalone
+          (Array.make m (Core.Job.universe ~n))
+      in
+      run
+        ~scheduler:(Fault.Inject.scheduler ~plan ~rng:(Util.Prng.split rng))
+        ~adversary:(Fault.Inject.adversary ~plan ~metrics)
+        ?restarter:
+          (Fault.Inject.restarter ~plan ~restart:(fun pid ->
+               let took = Core.Kk.restart kks.(pid - 1) in
+               if took then on_restart pid;
+               took))
+        handles;
+      true)
+
 let test_verbose_traces_audit () =
   (* verbose mode emits one Read/Write/Internal event per action; the
      audited full trace must be structurally well-formed and its event
@@ -557,6 +711,7 @@ let prop_config_fuzz =
 let suite =
   [
     Helpers.qtest prop_config_fuzz;
+    Helpers.qtest prop_free_is_free0_minus_done;
     Alcotest.test_case "backends produce identical executions" `Quick
       test_backends_produce_identical_executions;
     Alcotest.test_case "backends identical under random schedules" `Quick

@@ -116,6 +116,34 @@ let test_cache_deterministic_single_domain () =
   let s2, _ = collect_par ~domains:1 ~fingerprint:true factory in
   Alcotest.(check bool) "same stream twice" true (s1 = s2)
 
+(* KK n=6 on one domain with the cache on: the pruning decisions fix
+   the execution stream, so its hash and the cache counters pin the
+   equivalence classes [Core.Kk.fingerprint] draws.  Recorded before
+   DONE became implicit in FREE; dropping a field from the fingerprint
+   that the rest of the state already determines must prune exactly
+   as before. *)
+let test_cache_pin_kk_n6 () =
+  let factory = Test_explore.kk_factory ~n:6 ~m:2 ~beta:2 in
+  let stream, stats = collect_par ~domains:1 ~fingerprint:true factory in
+  let stream_hash =
+    List.fold_left
+      (fun h (schedule, dos) ->
+        let h = List.fold_left Util.Mix.combine h schedule in
+        List.fold_left
+          (fun h (p, j) -> Util.Mix.combine (Util.Mix.combine h p) j)
+          h dos)
+      0 stream
+  in
+  let c = Option.get stats.P.cache in
+  Alcotest.(check bool) "fully exhaustive" true stats.P.fully_exhaustive;
+  Alcotest.(check int) "executions" 158 stats.P.executions;
+  Alcotest.(check int) "stream hash" (-2721845751049005126) stream_hash;
+  Alcotest.(check int) "canonical do-logs" 47 (List.length (canon stream));
+  Alcotest.(check int) "cache hits" 1481 c.F.hits;
+  Alcotest.(check int) "cache misses" 17756 c.F.misses;
+  Alcotest.(check int) "cache evictions" 0 c.F.evictions;
+  Alcotest.(check int) "cache capacity" 1048576 c.F.capacity
+
 (* ---- the seeded mutant through the parallel path ---- *)
 
 let test_mutant_parallel () =
@@ -404,6 +432,7 @@ let suite =
       test_cache_preserves_sets;
     Alcotest.test_case "cache deterministic on one domain" `Quick
       test_cache_deterministic_single_domain;
+    Alcotest.test_case "cache pin: KK n=6" `Quick test_cache_pin_kk_n6;
     Alcotest.test_case "mutant caught via parallel path, same shrunk" `Slow
       test_mutant_parallel;
     Alcotest.test_case "fingerprint table bounded, counters" `Quick
