@@ -7,7 +7,8 @@
       percentile within its advertised (1 + 1/k) relative-error bound
       against exact sorted-order quantiles; merging per-shard sketches
       is exact (identical to sketching the union); and with k = 1 the
-      sketch degenerates to exactly [Obs.Histogram.percentile].
+      sketch gives exactly a power-of-two histogram's estimates,
+      checked against a reference computed from the sorted samples.
 
    2. Agreement: the streaming [Obs.Monitor], fed the executor's
       events one at a time through the probe seam, finalizes to
@@ -86,18 +87,26 @@ let check_sketch ~name samples =
   in
   (rows, !in_bound, !merge_ok, 100. *. !worst, 100. *. err, k)
 
-(* k = 1 must reproduce the histogram's factor-of-2 estimates bit for
-   bit: same buckets, same rank walk. *)
+(* k = 1 must reproduce a factor-of-2 histogram bit for bit.  The
+   reference is computed without the sketch: the exact quantile of the
+   clamped samples, raised to the upper edge of its power-of-two band
+   (2^bits(v) - 1; 0 for 0; max_int from bit 62) and capped at the
+   maximum — the maximum itself at p = 100. *)
+let band_hi v =
+  let rec bits acc v = if v = 0 then acc else bits (acc + 1) (v lsr 1) in
+  let b = bits 0 v in
+  if b = 0 then 0 else if b >= 62 then max_int else (1 lsl b) - 1
+
 let check_k1 samples =
   let sk = Obs.Sketch.create ~sub_buckets:1 () in
-  let h = Obs.Histogram.create () in
-  Array.iter
-    (fun v ->
-      Obs.Sketch.add sk v;
-      Obs.Histogram.add h v)
-    samples;
+  Array.iter (Obs.Sketch.add sk) samples;
+  let sorted = Array.map (max 0) samples in
+  Array.sort compare sorted;
+  let top = sorted.(Array.length sorted - 1) in
   List.for_all
-    (fun p -> Obs.Sketch.percentile sk p = Obs.Histogram.percentile h p)
+    (fun p ->
+      Obs.Sketch.percentile sk p
+      = min (band_hi (exact_percentile sorted p)) top)
     [ 0.; 10.; 50.; 90.; 99.; 99.9; 100. ]
 
 (* ---- 2. monitor agreement ---- *)

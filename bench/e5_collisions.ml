@@ -8,8 +8,9 @@
 
    Each row also reports the distribution of per-pair collision
    counts (p50/p99/max over all ordered pairs and seeds, via
-   Obs.Profile's histograms): the lemma is per-pair, so the tail —
-   not the total — is where a violation would first show. *)
+   Obs.Profile.summarize on a k = 1 sketch): the lemma is per-pair,
+   so the tail — not the total — is where a violation would first
+   show. *)
 
 open Exp_common
 
@@ -35,7 +36,7 @@ let run () =
             let total = ref 0 in
             (* per-pair counts pooled across seeds: one histogram
                sample per ordered pair per run *)
-            let pair_hist = Obs.Histogram.create () in
+            let pair_hist = Obs.Sketch.create ~sub_buckets:1 () in
             List.iter
               (fun seed ->
                 let s =
@@ -47,7 +48,7 @@ let run () =
                 for p = 1 to m do
                   for q = 1 to m do
                     if p <> q then
-                      Obs.Histogram.add pair_hist
+                      Obs.Sketch.add pair_hist
                         (Core.Collision.count s.Core.Harness.collision ~p ~q)
                   done
                 done;

@@ -14,28 +14,6 @@ let kk_test ~name ~n ~m ~beta =
     (Staged.stage (fun () ->
          ignore (Core.Harness.kk ~trace_level:`Silent ~n ~m ~beta ())))
 
-(* end-to-end KK over an alternative set backend: same algorithm, same
-   schedule; only the balanced tree changes *)
-let kk_backend_test (type s) ~name
-    (module Set : Set_intf.S with type t = s) =
-  let module K = Core.Kk.Make (Set) in
-  let n = 1024 and m = 4 in
-  Test.make ~name
-    (Staged.stage (fun () ->
-         let metrics = Shm.Metrics.create ~m in
-         let shared = K.make_shared ~metrics ~m ~capacity:n ~name:"kk" () in
-         let handles =
-           Array.init m (fun i ->
-               K.handle
-                 (K.create ~shared ~pid:(i + 1) ~beta:m
-                    ~policy:Core.Policy.Rank_split ~free:(Set.of_range 1 n)
-                    ~mode:Core.Kk.Standalone ()))
-         in
-         ignore
-           (Shm.Executor.run ~trace_level:`Silent
-              ~scheduler:(Shm.Schedule.round_robin ())
-              ~adversary:Shm.Adversary.none handles)))
-
 let tests =
   Test.make_grouped ~name:"amo" ~fmt:"%s %s"
     [
@@ -64,8 +42,8 @@ let tests =
         (let s1 = Ostree.of_range 1 4096 in
          let s2 = Ostree.of_list [ 5; 100; 600; 1200; 2000; 2500; 3000; 4000 ] in
          Staged.stage (fun () -> ignore (Ostree.rank_diff s1 s2 2048)));
-      (* the two backing structures, racing on the algorithm's access
-         pattern: interleaved add/remove/select churn *)
+      (* the algorithm's access pattern on the set: interleaved
+         add/remove/select churn *)
       Test.make ~name:"ostree(avl) churn 512 ops"
         (Staged.stage (fun () ->
              let t = ref (Ostree.of_range 1 256) in
@@ -74,26 +52,6 @@ let tests =
                t := Ostree.add (256 + i) !t;
                ignore (Ostree.select !t ((i mod Ostree.cardinal !t) + 1))
              done));
-      Test.make ~name:"rbtree churn 512 ops"
-        (Staged.stage (fun () ->
-             let t = ref (Rbtree.of_range 1 256) in
-             for i = 1 to 256 do
-               t := Rbtree.remove i !t;
-               t := Rbtree.add (256 + i) !t;
-               ignore (Rbtree.select !t ((i mod Rbtree.cardinal !t) + 1))
-             done));
-      Test.make ~name:"2-3 tree churn 512 ops"
-        (Staged.stage (fun () ->
-             let t = ref (Twothree.of_range 1 256) in
-             for i = 1 to 256 do
-               t := Twothree.remove i !t;
-               t := Twothree.add (256 + i) !t;
-               ignore (Twothree.select !t ((i mod Twothree.cardinal !t) + 1))
-             done));
-      kk_backend_test ~name:"kk n=1024 m=4 (red-black backend)"
-        (module Rbtree);
-      kk_backend_test ~name:"kk n=1024 m=4 (2-3 tree backend)"
-        (module Twothree);
     ]
 
 (* Measurement methodology, recorded verbatim into the snapshot's

@@ -76,8 +76,8 @@ let exports ~m ~csv_dos ~csv_timeline ~show_timeline ~show_gantt
 let apply_log_level = function
   | None -> ()
   | Some name -> (
-      match Obs.Log.level_of_string name with
-      | Some l -> Obs.Log.set_level l
+      match Util.Logging.level_of_string name with
+      | Some l -> Util.Logging.set_level l
       | None ->
           Fmt.epr "amo_run: unknown log level %S (use quiet|info|debug)@." name;
           exit 2)
@@ -572,6 +572,9 @@ let msg_cmd =
     in
     let o = Msg.Kk_mp.run_kk ~crash_plan ~servers ~n ~m ~beta:m ~rng () in
     let amo_ok = Result.is_ok (Core.Spec.check_at_most_once o.Msg.Kk_mp.dos) in
+    (* the crash plan never kills a server, so a client still waiting
+       at the end was cut off by the delivery cap *)
+    let truncated = o.Msg.Kk_mp.stuck <> [] in
     if json then
       print_endline
         (J.to_string ~minify:false
@@ -590,6 +593,7 @@ let msg_cmd =
                 ( "stuck",
                   J.List (List.map (fun p -> J.Int p) o.Msg.Kk_mp.stuck) );
                 ("deliveries", J.Int o.Msg.Kk_mp.deliveries);
+                ("truncated", J.Bool truncated);
               ]))
     else begin
       (match Core.Spec.check_at_most_once o.Msg.Kk_mp.dos with
@@ -608,9 +612,13 @@ let msg_cmd =
       Fmt.pr "stuck clients   : [%s]@."
         (String.concat "; " (List.map string_of_int o.Msg.Kk_mp.stuck));
       Fmt.pr "deliveries      : %d (%.1f per job)@." o.Msg.Kk_mp.deliveries
-        (float_of_int o.Msg.Kk_mp.deliveries /. float_of_int n)
+        (float_of_int o.Msg.Kk_mp.deliveries /. float_of_int n);
+      if truncated then
+        Fmt.pr "truncated       : stopped at the delivery cap after %d \
+                deliveries@."
+          o.Msg.Kk_mp.deliveries
     end;
-    if not amo_ok then exit 1
+    if truncated || not amo_ok then exit 1
   in
   let servers =
     let doc = "Number of ABD replica servers." in

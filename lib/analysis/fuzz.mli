@@ -2,7 +2,7 @@
 
     The middle tier between the exhaustive explorers ({!Explore},
     {!Pexplore} — sound, but confined to tiny instances) and blind
-    Monte-Carlo sampling ({!Montecarlo}, [Fault.Chaos.soak] — scales,
+    Monte-Carlo sampling ([Fault.Chaos.soak] — scales,
     but wastes budget re-exercising equivalent interleavings): a
     feedback loop that keeps an input only when executing it reached a
     {!Fingerprint.cover} state not yet in a bounded seen table, and

@@ -43,9 +43,8 @@
     The algorithm only needs its FREE/TRY sets through the
     order-statistic interface {!Set_intf.S} ("red-black tree or some
     variant of B-tree", §3), so the implementation is a functor; the
-    toplevel values are the default instantiation over {!Ostree}
-    (AVL), and [Make (Rbtree)] gives the red-black-backed variant with
-    the identical API. *)
+    toplevel values are the instantiation over {!Ostree} (AVL), and
+    [Make (S)] runs the identical algorithm over any other [S]. *)
 
 type mode = Kk_intf.mode =
   | Standalone  (** plain KKβ: terminate when |FREE \ TRY| < β *)

@@ -126,7 +126,7 @@ let counter_events heatmap =
               ("cat", Json.String "heatmap");
               ("ph", Json.String "C");
               ("pid", Json.Int 0);
-              ("ts", Json.Int (Histogram.bucket_lo b));
+              ("ts", Json.Int (Logbucket.lo b));
               ("args", Json.Obj [ ("reads", Json.Int r); ("writes", Json.Int w) ]);
             ])
         c.buckets)

@@ -1,5 +1,5 @@
 (* Per-register access statistics.  One [stats] per named cell;
-   time-bucketed counts reuse the histogram's power-of-two bucket
+   time-bucketed counts reuse Logbucket's power-of-two bucket
    math so long runs stay constant-space per cell. *)
 
 type stats = {
@@ -46,7 +46,7 @@ let stats_for t name =
       s
 
 let bucket_counts (s : stats) step =
-  let b = Histogram.bucket_of step in
+  let b = Logbucket.of_value step in
   match Hashtbl.find_opt s.buckets b with
   | Some rw -> rw
   | None ->
@@ -135,7 +135,7 @@ let cell_to_json (c : cell) =
                Json.Obj
                  [
                    ("bucket", Json.Int b);
-                   ("from_step", Json.Int (Histogram.bucket_lo b));
+                   ("from_step", Json.Int (Logbucket.lo b));
                    ("reads", Json.Int r);
                    ("writes", Json.Int w);
                  ])

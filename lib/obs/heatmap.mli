@@ -5,7 +5,7 @@
     {e contention} count — accesses that hit a register last touched
     by a {e different} process (ownership bounces, the shared-memory
     model's analogue of cache-line ping-pong).  Time series are kept
-    in the {!Histogram} power-of-two step buckets, so a cell's history
+    in {!Logbucket}'s power-of-two step buckets, so a cell's history
     costs O(log steps) space regardless of run length.
 
     Feed it either post-hoc from a [`Full] trace ({!of_trace}) or
@@ -23,7 +23,7 @@ type cell = {
   contention : int;  (** accesses whose previous accessor differed *)
   buckets : (int * int * int) list;
       (** [(bucket, reads, writes)], ascending; bucket bounds per
-          {!Histogram.bucket_lo}. *)
+          {!Logbucket.lo}. *)
 }
 
 val create : unit -> t

@@ -1,13 +1,11 @@
-(* Shared power-of-two bucketing used by Histogram and Sketch.
+(* Power-of-two bucketing for Sketch's bands and Heatmap's step
+   buckets.
 
    Index 0 holds the value 0 (and any clamped negatives); bucket
    b >= 1 holds values in [2^(b-1), 2^b - 1].  With 63-bit OCaml ints
-   the top bucket is 62: [2^61, max_int].  Keeping the boundary math
-   in one place means the exact histogram and the sub-bucketed sketch
-   can never disagree about which power-of-two band a sample is in. *)
+   the top bucket is 62: [2^61, max_int]. *)
 
 let top_bucket = 62
-let n_buckets = top_bucket + 1
 
 let of_value v =
   if v <= 0 then 0
@@ -26,9 +24,8 @@ let width b = if b <= 0 then 1 else hi b - lo b + 1
    Each power-of-two band is subdivided into [k] equal-width linear
    sub-buckets and the whole structure flattened into
    [1 + top_bucket * k] slots: slot 0 is the value 0, band b >= 1
-   occupies slots [1 + (b-1)k .. bk].  Sketch uses arbitrary k;
-   Histogram is the k = 1 degenerate case (slot index = band index),
-   so both derive their boundaries from this one set of functions. *)
+   occupies slots [1 + (b-1)k .. bk].  At k = 1 the slot index is the
+   band index. *)
 
 let sub_width ~k b = max 1 (width b / k)
 let n_slots ~k = 1 + (top_bucket * k)

@@ -1,16 +1,12 @@
-(** Power-of-two bucket boundaries shared by {!Histogram} and
-    {!Sketch}.
+(** Power-of-two bucket boundaries: {!Sketch}'s bands and
+    {!Heatmap}'s step buckets.
 
     Bucket [0] holds the value [0] (and clamped negatives); bucket [b]
     ([b >= 1]) holds values in [[2^(b-1), 2^b - 1]]; the top bucket
-    (62) absorbs everything up to [max_int].  Both consumers delegate
-    here so their bucket boundaries cannot drift apart. *)
+    (62) absorbs everything up to [max_int]. *)
 
 val top_bucket : int
 (** Index of the last bucket (62). *)
-
-val n_buckets : int
-(** [top_bucket + 1]. *)
 
 val of_value : int -> int
 (** The bucket index a value lands in ([0..62]).  Non-positive values
@@ -28,10 +24,8 @@ val width : int -> int
 (** {2 k-way sub-bucket slotting}
 
     Each band subdivided into [k] equal-width linear sub-buckets,
-    flattened to [1 + top_bucket * k] slots.  {!Sketch} uses arbitrary
-    [k]; {!Histogram} is the [k = 1] degenerate case (slot index =
-    band index) — both consumers share these boundaries, the single
-    source of truth. *)
+    flattened to [1 + top_bucket * k] slots.  At [k = 1] the slot
+    index is the band index. *)
 
 val n_slots : k:int -> int
 (** Number of flat slots, [1 + top_bucket * k]. *)

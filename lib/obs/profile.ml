@@ -1,4 +1,8 @@
-type t = { tbl : ((int * string), Histogram.t) Hashtbl.t }
+type t = { tbl : ((int * string), Sketch.t) Hashtbl.t }
+
+(* One power-of-two band per bucket: factor-of-2 tails are enough for
+   "did p99 work per process blow up?". *)
+let band_sketch () = Sketch.create ~sub_buckets:1 ()
 
 let create () = { tbl = Hashtbl.create 32 }
 
@@ -6,11 +10,11 @@ let hist t ~pid ~series =
   match Hashtbl.find_opt t.tbl (pid, series) with
   | Some h -> h
   | None ->
-      let h = Histogram.create () in
+      let h = band_sketch () in
       Hashtbl.add t.tbl (pid, series) h;
       h
 
-let add t ~pid ~series v = Histogram.add (hist t ~pid ~series) v
+let add t ~pid ~series v = Sketch.add (hist t ~pid ~series) v
 
 let get t ~pid ~series = Hashtbl.find_opt t.tbl (pid, series)
 
@@ -24,8 +28,8 @@ let pids t =
 
 let merged t ~series =
   Hashtbl.fold
-    (fun (_, s) h acc -> if s = series then Histogram.merge acc h else acc)
-    t.tbl (Histogram.create ())
+    (fun (_, s) h acc -> if s = series then Sketch.merge acc h else acc)
+    t.tbl (band_sketch ())
 
 let of_metrics m =
   let t = create () in
@@ -44,25 +48,6 @@ let observe_metrics t m =
     add t ~pid:p ~series:"writes" (Shm.Metrics.writes m ~p)
   done
 
-let to_json t =
-  let per_series s =
-    let per_pid =
-      List.filter_map
-        (fun p ->
-          Option.map
-            (fun h -> (string_of_int p, Histogram.to_json h))
-            (get t ~pid:p ~series:s))
-        (pids t)
-    in
-    ( s,
-      Json.Obj
-        [
-          ("merged", Histogram.to_json (merged t ~series:s));
-          ("per_pid", Json.Obj per_pid);
-        ] )
-  in
-  Json.Obj (List.map per_series (series t))
-
 type summary = {
   count : int;
   mean : float;
@@ -74,12 +59,12 @@ type summary = {
 
 let summarize h =
   {
-    count = Histogram.count h;
-    mean = Histogram.mean h;
-    p50 = Histogram.percentile h 50.;
-    p90 = Histogram.percentile h 90.;
-    p99 = Histogram.percentile h 99.;
-    max = Histogram.max_value h;
+    count = Sketch.count h;
+    mean = Sketch.mean h;
+    p50 = Sketch.percentile h 50.;
+    p90 = Sketch.percentile h 90.;
+    p99 = Sketch.percentile h 99.;
+    max = Sketch.max_value h;
   }
 
 let summary t ~series:s = summarize (merged t ~series:s)

@@ -3,8 +3,9 @@
     Theorem 5.6 bounds {e total} work, but adversarial schedules skew
     how that work lands on individual processes — a single total hides
     a starved or thrashing process.  A profile is a keyed family of
-    {!Histogram}s: [(pid, series)] where a series is a named quantity
-    ("work", "reads", "writes", or any phase label an instrumented
+    {!Sketch}es with one sub-bucket per power-of-two band ([k = 1],
+    factor-of-2 resolution): [(pid, series)] where a series is a named
+    quantity ("work", "reads", "writes", or any phase label an instrumented
     component chooses, e.g. via {!Bridge.profile_probe}).  The bench
     experiments (E4/E5) aggregate one sample per process per run and
     report tail percentiles instead of single totals. *)
@@ -16,7 +17,7 @@ val create : unit -> t
 val add : t -> pid:int -> series:string -> int -> unit
 (** Record one sample for [(pid, series)]. *)
 
-val get : t -> pid:int -> series:string -> Histogram.t option
+val get : t -> pid:int -> series:string -> Sketch.t option
 
 val series : t -> string list
 (** All series names, sorted. *)
@@ -24,8 +25,8 @@ val series : t -> string list
 val pids : t -> int list
 (** All pids observed, sorted. *)
 
-val merged : t -> series:string -> Histogram.t
-(** Pointwise merge of one series across all pids (empty histogram if
+val merged : t -> series:string -> Sketch.t
+(** Pointwise merge of one series across all pids (empty sketch if
     the series is unknown). *)
 
 val of_metrics : Shm.Metrics.t -> t
@@ -38,9 +39,6 @@ val observe_metrics : t -> Shm.Metrics.t -> unit
     profile (series ["work"]/["reads"]/["writes"]) — accumulating a
     distribution across a sweep of runs. *)
 
-val to_json : t -> Json.t
-(** [{series: {merged: hist, per_pid: {"1": hist, ...}}, ...}]. *)
-
 type summary = {
   count : int;
   mean : float;
@@ -50,6 +48,6 @@ type summary = {
   max : int;
 }
 
-val summarize : Histogram.t -> summary
+val summarize : Sketch.t -> summary
 val summary : t -> series:string -> summary
 (** Summary of the across-pid merge of a series. *)

@@ -6,9 +6,10 @@
    capped at the true max.  For a sample x in band b the sub-bucket is
    at most [width b / k] wide and x >= lo b = width b (for b >= 1), so
    the estimate overshoots by at most a factor 1/k: bounded relative
-   error 1/k, against the histogram's factor-of-2 bands.  With k = 1
-   the sub-bucket IS the band and the sketch degenerates to exactly
-   Histogram.percentile — the reconciliation tests pin this.
+   error 1/k, against a plain histogram's factor-of-2 bands.  With
+   k = 1 the sub-bucket IS the band and the sketch is exactly that
+   histogram — the k = 1 tests pin it against a reference computed
+   from the sorted samples.
 
    Space is (1 + 62k) ints regardless of sample count; merge is a
    pointwise sum (exact), so per-domain sketches combine without
@@ -41,8 +42,6 @@ let create ?(sub_buckets = default_sub_buckets) () =
 
 let sub_buckets t = t.k
 
-(* Slot boundaries live in Logbucket, shared with Histogram (its k = 1
-   degenerate case), so the two can never drift apart. *)
 let slot_hi k i = Logbucket.slot_hi ~k i
 
 let add t v =

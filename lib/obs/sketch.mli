@@ -1,12 +1,14 @@
 (** Mergeable quantile sketches with bounded relative error.
 
     Each {!Logbucket} power-of-two band is subdivided into [k] linear
-    sub-buckets (k a power of two, default 32), tightening the
+    sub-buckets (k a power of two, default 32), tightening a plain
     histogram's factor-of-2 tail resolution to a [1/k] relative-error
     bound while staying constant-space and O(1) per insert.  Merging
     is a pointwise sum — exact — so per-domain sketches combine into a
     run-wide one with no re-bucketing error.  With [k = 1] the sketch
-    degenerates to exactly {!Histogram.percentile} (pinned by test). *)
+    is that factor-of-2 histogram: the estimate is the covering
+    band's upper edge, capped at the max (pinned by test against a
+    sorted-sample reference; {!Profile} uses this setting). *)
 
 type t
 

@@ -1,14 +1,13 @@
-(** The order-statistic set interface shared by both backing
-    structures.
+(** The order-statistic set interface [Core.Kk.Make] is written
+    against.
 
     The paper stores FREE, DONE and TRY in "some tree structure like
     red-black tree or some variant of B-tree" (§3); nothing in the
     algorithm depends on the balancing scheme, only on this
-    interface.  The repository ships two implementations —
-    {!Ostree} (size-augmented AVL; the default everywhere) and
-    {!Rbtree} (size-augmented red-black, Okasaki insertion / Kahrs
-    deletion) — cross-validated against each other in the test suite
-    and raced in the timing benches. *)
+    interface.  {!Ostree} (size-augmented AVL) is the implementation
+    every run uses; the test suite instantiates the algorithm over a
+    sorted-list reference to check that the executions agree, and the
+    benchmark over a timing wrapper of {!Ostree}. *)
 
 module type S = sig
   type t

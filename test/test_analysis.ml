@@ -183,46 +183,25 @@ let test_gantt_empty_trace () =
   let lines = String.split_on_char '\n' (String.trim chart) in
   Alcotest.(check int) "two lanes" 2 (List.length lines)
 
-(* ---- monte carlo ---- *)
-
-let test_montecarlo_summary () =
-  let s =
-    Analysis.Montecarlo.sweep
-      ~seeds:[ 10; 20; 30; 40 ]
-      ~f:(fun ~seed -> float_of_int seed)
-  in
-  Alcotest.(check int) "runs" 4 s.Analysis.Montecarlo.runs;
-  Alcotest.(check (float 1e-9)) "mean" 25. s.Analysis.Montecarlo.mean;
-  Alcotest.(check (float 1e-9)) "min" 10. s.Analysis.Montecarlo.min;
-  Alcotest.(check (float 1e-9)) "max" 40. s.Analysis.Montecarlo.max;
-  Alcotest.(check int) "argmin seed" 10 s.Analysis.Montecarlo.argmin_seed;
-  Alcotest.(check int) "argmax seed" 40 s.Analysis.Montecarlo.argmax_seed;
-  Alcotest.(check (float 1e-9)) "median" 25. s.Analysis.Montecarlo.p50
-
-let test_montecarlo_empty () =
-  Alcotest.check_raises "empty seeds"
-    (Invalid_argument "Montecarlo.sweep: empty seed list") (fun () ->
-      ignore (Analysis.Montecarlo.sweep ~seeds:[] ~f:(fun ~seed:_ -> 0.)))
+(* ---- effectiveness over seeds ---- *)
 
 let test_montecarlo_effectiveness_sweep () =
-  (* end-to-end: the observable is KK effectiveness under crashes; the
-     minimum across seeds must respect Theorem 4.4 *)
+  (* end-to-end: KK effectiveness under crashes over ten seeds; every
+     run must respect Theorem 4.4 *)
   let n = 80 and m = 4 in
-  let s =
-    Analysis.Montecarlo.sweep_runs ~k:10 ~base:500
-      ~f:(fun ~seed ->
-        let rng = Util.Prng.of_int seed in
-        let r =
-          Core.Harness.kk
-            ~scheduler:(Shm.Schedule.random (Util.Prng.split rng))
-            ~adversary:(Shm.Adversary.random rng ~f:(m - 1) ~m ~horizon:1000)
-            ~n ~m ~beta:m ()
-        in
-        float_of_int r.Core.Harness.do_count)
-      ()
-  in
-  Alcotest.(check bool) "min respects Thm 4.4" true
-    (s.Analysis.Montecarlo.min >= float_of_int (n - (2 * m) + 2))
+  for seed = 500 to 509 do
+    let rng = Util.Prng.of_int seed in
+    let r =
+      Core.Harness.kk
+        ~scheduler:(Shm.Schedule.random (Util.Prng.split rng))
+        ~adversary:(Shm.Adversary.random rng ~f:(m - 1) ~m ~horizon:1000)
+        ~n ~m ~beta:m ()
+    in
+    if r.Core.Harness.do_count < n - (2 * m) + 2 then
+      Alcotest.failf "seed %d: did %d < n - 2m + 2 = %d" seed
+        r.Core.Harness.do_count
+        (n - (2 * m) + 2)
+  done
 
 (* ---- explorer ---- *)
 
@@ -288,8 +267,6 @@ let suite =
     Alcotest.test_case "gantt shape" `Quick test_gantt_shape;
     Alcotest.test_case "gantt crash mark" `Quick test_gantt_crash_mark;
     Alcotest.test_case "gantt empty trace" `Quick test_gantt_empty_trace;
-    Alcotest.test_case "montecarlo summary" `Quick test_montecarlo_summary;
-    Alcotest.test_case "montecarlo empty" `Quick test_montecarlo_empty;
     Alcotest.test_case "montecarlo effectiveness sweep" `Quick
       test_montecarlo_effectiveness_sweep;
     Alcotest.test_case "explore fully exhaustive" `Quick

@@ -89,6 +89,37 @@ let test_cli_json_truncated () =
     truncated;
   Alcotest.(check int) "passing run: exits 0" 0 code
 
+(* [amo_run msg] at n = 20000, m = 4 runs into ABD's 2 M-delivery cap
+   with every client still waiting; that run must report [truncated]
+   and exit 1, while n = 2000 completes and exits 0. *)
+let test_cli_msg_truncated () =
+  let run args =
+    let out, status =
+      Helpers.run_capture (Filename.quote (Helpers.amo_exe ()) ^ args)
+    in
+    (out, Helpers.exit_code status)
+  in
+  let json_truncated args =
+    let out, code = run (args ^ " --json") in
+    match Obs.Json.parse out with
+    | Ok j ->
+        (Option.bind (Obs.Json.member "truncated" j) Obs.Json.get_bool, code)
+    | Error e -> Alcotest.failf "%s: bad JSON (%s)" args e
+  in
+  let out, code = run " msg -n 20000 -m 4 2>&1" in
+  Alcotest.(check bool) "cut run: prints a truncated line" true
+    (List.exists
+       (String.starts_with ~prefix:"truncated")
+       (String.split_on_char '\n' out));
+  Alcotest.(check int) "cut run: exits 1" 1 code;
+  let truncated, code = json_truncated " msg -n 20000 -m 4" in
+  Alcotest.(check (option bool)) "cut run: truncated" (Some true) truncated;
+  Alcotest.(check int) "cut run: --json exits 1" 1 code;
+  let truncated, code = json_truncated " msg -n 2000 -m 4" in
+  Alcotest.(check (option bool)) "passing run: not truncated" (Some false)
+    truncated;
+  Alcotest.(check int) "passing run: exits 0" 0 code
+
 let suite =
   [
     Alcotest.test_case "kk defaults" `Quick test_kk_defaults;
@@ -102,4 +133,6 @@ let suite =
       test_cli_truncated_run_fails;
     Alcotest.test_case "cli: --json reports truncated" `Quick
       test_cli_json_truncated;
+    Alcotest.test_case "cli: truncated msg run exits 1" `Quick
+      test_cli_msg_truncated;
   ]

@@ -625,16 +625,71 @@ let test_bounded_exhaustive_small () =
 
 (* ---- backend independence ---- *)
 
-module Kk_rb = Core.Kk.Make (Rbtree)
+(* A reference [Set_intf.S]: a sorted [int list], every query a linear
+   scan.  [Kk.Make] over it must reproduce the AVL-backed algorithm
+   event for event, so nothing in KKβ depends on the tree. *)
+module List_set : Set_intf.S = struct
+  type t = int list
 
-let run_rb_backend ~scheduler ~n ~m ~beta =
+  let empty = []
+  let is_empty l = l = []
+  let cardinal = List.length
+  let mem = List.mem
+  let add x l = if List.mem x l then l else List.merge compare [ x ] l
+  let remove x l = List.filter (fun y -> y <> x) l
+
+  let min_elt = function [] -> raise Not_found | x :: _ -> x
+
+  let max_elt l = min_elt (List.rev l)
+
+  let select l i =
+    if i < 1 || i > List.length l then
+      invalid_arg "List_set.select: rank out of range";
+    List.nth l (i - 1)
+
+  let rank x l =
+    let rec go i = function
+      | [] -> raise Not_found
+      | y :: rest -> if y = x then i else go (i + 1) rest
+    in
+    go 1 l
+
+  let count_le x l = List.length (List.filter (fun y -> y <= x) l)
+  let diff l1 l2 = List.filter (fun x -> not (List.mem x l2)) l1
+  let diff_cardinal l1 l2 = List.length (diff l1 l2)
+
+  let rank_diff l1 l2 i =
+    let d = diff l1 l2 in
+    if i < 1 || i > List.length d then
+      invalid_arg "List_set.rank_diff: rank out of range";
+    List.nth d (i - 1)
+
+  let fold f l acc = List.fold_left (fun acc x -> f x acc) acc l
+  let iter = List.iter
+  let elements l = l
+  let of_list = List.sort_uniq compare
+  let of_range lo hi =
+    if hi < lo then [] else List.init (hi - lo + 1) (( + ) lo)
+  let equal = ( = )
+  let subset l1 l2 = List.for_all (fun x -> List.mem x l2) l1
+
+  let check_invariants l =
+    if l <> List.sort_uniq compare l then failwith "List_set: not sorted"
+
+  let pp fmt l =
+    Format.fprintf fmt "{%s}" (String.concat ", " (List.map string_of_int l))
+end
+
+module Kk_list = Core.Kk.Make (List_set)
+
+let run_list_backend ~scheduler ~n ~m ~beta =
   let metrics = Shm.Metrics.create ~m in
-  let shared = Kk_rb.make_shared ~metrics ~m ~capacity:n ~name:"kk" () in
+  let shared = Kk_list.make_shared ~metrics ~m ~capacity:n ~name:"kk" () in
   let handles =
     Array.init m (fun i ->
-        Kk_rb.handle
-          (Kk_rb.create ~shared ~pid:(i + 1) ~beta
-             ~policy:Core.Policy.Rank_split ~free:(Rbtree.of_range 1 n)
+        Kk_list.handle
+          (Kk_list.create ~shared ~pid:(i + 1) ~beta
+             ~policy:Core.Policy.Rank_split ~free:(List_set.of_range 1 n)
              ~mode:Core.Kk.Standalone ()))
   in
   let outcome =
@@ -643,9 +698,9 @@ let run_rb_backend ~scheduler ~n ~m ~beta =
   Shm.Trace.do_events outcome.Shm.Executor.trace
 
 let test_backends_produce_identical_executions () =
-  (* the algorithm is deterministic given the schedule, and the two
-     tree backends implement the same abstract set, so the executions
-     must agree event-for-event *)
+  (* the algorithm is deterministic given the schedule, and the AVL
+     tree and the list reference implement the same abstract set, so
+     the executions must agree event-for-event *)
   let n = 120 and m = 4 in
   List.iter
     (fun beta ->
@@ -653,12 +708,12 @@ let test_backends_produce_identical_executions () =
         (Core.Harness.kk ~scheduler:(Shm.Schedule.round_robin ()) ~n ~m ~beta ())
           .Core.Harness.dos
       in
-      let rb =
-        run_rb_backend ~scheduler:(Shm.Schedule.round_robin ()) ~n ~m ~beta
+      let reference =
+        run_list_backend ~scheduler:(Shm.Schedule.round_robin ()) ~n ~m ~beta
       in
       Alcotest.(check (list (pair int int)))
         (Printf.sprintf "identical do-logs (beta=%d)" beta)
-        avl rb)
+        avl reference)
     [ m; 2 * m; 3 * m * m ]
 
 let test_backends_identical_under_random_schedule () =
@@ -670,14 +725,14 @@ let test_backends_identical_under_random_schedule () =
       (Core.Harness.kk ~scheduler:record ~n:80 ~m:3 ~beta:3 ())
         .Core.Harness.dos
     in
-    let rb =
-      run_rb_backend
+    let reference =
+      run_list_backend
         ~scheduler:(Shm.Schedule.fixed (picks ()))
         ~n:80 ~m:3 ~beta:3
     in
     Alcotest.(check (list (pair int int)))
       (Printf.sprintf "seed %d" seed)
-      avl rb
+      avl reference
   done
 
 (* ---- configuration fuzzing ---- *)

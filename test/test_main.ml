@@ -4,8 +4,6 @@ let () =
       ("prng", Test_prng.suite);
       ("stats", Test_stats.suite);
       ("ostree", Test_ostree.suite);
-      ("rbtree", Test_rbtree.suite);
-      ("twothree", Test_twothree.suite);
       ("shm", Test_shm.suite);
       ("step", Test_step.suite);
       ("params", Test_params.suite);
@@ -17,7 +15,6 @@ let () =
       ("kk", Test_kk.suite);
       ("superjob", Test_superjob.suite);
       ("analysis", Test_analysis.suite);
-      ("montecarlo", Test_montecarlo.suite);
       ("explore", Test_explore.suite);
       ("pexplore", Test_pexplore.suite);
       ("claim-scan", Test_claim_scan.suite);

@@ -1,11 +1,13 @@
 (* Tests for the observability layer (lib/obs) and its seams:
-   log-bucketed histograms, the dependency-free JSON codec, versioned
+   log-bucketed histograms (k = 1 sketches over Logbucket's bands),
+   the dependency-free JSON codec, versioned
    bench snapshots with regression diffing, the executor probe →
    sink/profile bridges, a golden byte-stable Chrome trace, and the
    guarantee that library code is silent unless logging is enabled. *)
 
 module J = Obs.Json
-module H = Obs.Histogram
+module H = Obs.Sketch
+module B = Obs.Logbucket
 
 let read_file path =
   let ic = open_in_bin path in
@@ -16,18 +18,18 @@ let read_file path =
 (* ---- histogram ---- *)
 
 let test_histogram_edges () =
-  let h = H.create () in
+  let h = H.create ~sub_buckets:1 () in
   H.add h 0;
   H.add h 1;
   H.add h max_int;
   Alcotest.(check int) "count" 3 (H.count h);
-  Alcotest.(check int) "bucket of 0" 0 (H.bucket_of 0);
-  Alcotest.(check int) "bucket of 1" 1 (H.bucket_of 1);
-  Alcotest.(check int) "bucket of 2" 2 (H.bucket_of 2);
-  Alcotest.(check int) "bucket of 3" 2 (H.bucket_of 3);
-  Alcotest.(check int) "bucket of 4" 3 (H.bucket_of 4);
-  Alcotest.(check int) "bucket of max_int" 62 (H.bucket_of max_int);
-  Alcotest.(check int) "top bucket absorbs to max_int" max_int (H.bucket_hi 62);
+  Alcotest.(check int) "bucket of 0" 0 (B.of_value 0);
+  Alcotest.(check int) "bucket of 1" 1 (B.of_value 1);
+  Alcotest.(check int) "bucket of 2" 2 (B.of_value 2);
+  Alcotest.(check int) "bucket of 3" 2 (B.of_value 3);
+  Alcotest.(check int) "bucket of 4" 3 (B.of_value 4);
+  Alcotest.(check int) "bucket of max_int" 62 (B.of_value max_int);
+  Alcotest.(check int) "top bucket absorbs to max_int" max_int (B.hi 62);
   Alcotest.(check int) "min" 0 (H.min_value h);
   Alcotest.(check int) "max" max_int (H.max_value h);
   Alcotest.(check int) "p100 is the exact max" max_int (H.percentile h 100.);
@@ -35,7 +37,7 @@ let test_histogram_edges () =
   H.add h (-5);
   Alcotest.(check int) "negative clamps to 0" 0 (H.percentile h 25.);
   Alcotest.check_raises "percentile range"
-    (Invalid_argument "Histogram.percentile: p in [0,100]") (fun () ->
+    (Invalid_argument "Sketch.percentile: p in [0,100]") (fun () ->
       ignore (H.percentile h 101.))
 
 let test_histogram_bucket_tiling () =
@@ -43,18 +45,18 @@ let test_histogram_bucket_tiling () =
   for b = 1 to 62 do
     Alcotest.(check int)
       (Printf.sprintf "lo(%d) = hi(%d)+1" b (b - 1))
-      (H.bucket_hi (b - 1) + 1)
-      (H.bucket_lo b)
+      (B.hi (b - 1) + 1)
+      (B.lo b)
   done;
   List.iter
     (fun v ->
-      let b = H.bucket_of v in
-      if v < H.bucket_lo b || v > H.bucket_hi b then
+      let b = B.of_value v in
+      if v < B.lo b || v > B.hi b then
         Alcotest.failf "%d outside its bucket %d" v b)
     [ 0; 1; 2; 3; 4; 7; 8; 1023; 1024; 4097; max_int - 1; max_int ]
 
 let test_histogram_merge_and_percentile () =
-  let a = H.create () and b = H.create () in
+  let a = H.create ~sub_buckets:1 () and b = H.create ~sub_buckets:1 () in
   for i = 1 to 100 do
     H.add a i
   done;
@@ -821,17 +823,17 @@ let exercise_libraries () =
   ignore (Core.Harness.iterative ~n:64 ~m:2 ~epsilon_inv:1 ())
 
 let test_libraries_silent_by_default () =
-  let saved = Obs.Log.level () in
-  Obs.Log.set_level Obs.Log.Quiet;
+  let saved = Util.Logging.level () in
+  Util.Logging.set_level Util.Logging.Quiet;
   let captured = with_output_captured exercise_libraries in
-  Obs.Log.set_level saved;
+  Util.Logging.set_level saved;
   Alcotest.(check string) "no unconditional output" "" captured
 
 let test_logging_opt_in () =
-  let saved = Obs.Log.level () in
-  Obs.Log.set_level Obs.Log.Debug;
+  let saved = Util.Logging.level () in
+  Util.Logging.set_level Util.Logging.Debug;
   let captured = with_output_captured exercise_libraries in
-  Obs.Log.set_level saved;
+  Util.Logging.set_level saved;
   Alcotest.(check bool) "debug level produces diagnostics" true
     (captured <> "");
   Alcotest.(check bool) "tagged lines" true

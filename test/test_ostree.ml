@@ -140,12 +140,35 @@ let list_model ops =
 let ops_gen =
   QCheck.(list (pair bool (int_range 1 64)))
 
+(* Sets built by add/remove sequences rather than [of_list], checked
+   query by query against the list model: elements, every rank, every
+   bound in 0..65, and [rank_diff] against a second op-built set. *)
 let prop_model_agreement =
-  QCheck.Test.make ~name:"ostree agrees with list model" ~count:500 ops_gen
-    (fun ops ->
-      let t, l = list_model ops in
+  QCheck.Test.make ~name:"ostree agrees with list model" ~count:500
+    (QCheck.pair ops_gen ops_gen)
+    (fun (ops1, ops2) ->
+      let t, l = list_model ops1 and t2, l2 = list_model ops2 in
       T.check_invariants t;
-      T.elements t = l)
+      T.check_invariants t2;
+      let ranks xs = List.init (List.length xs) (fun i -> i + 1) in
+      let diff = List.filter (fun x -> not (List.mem x l2)) l in
+      let min_max_ok =
+        match (l, List.rev l) with
+        | lo :: _, hi :: _ -> T.min_elt t = lo && T.max_elt t = hi
+        | _ -> T.is_empty t
+      in
+      T.elements t = l
+      && T.cardinal t = List.length l
+      && min_max_ok
+      && List.for_all2
+           (fun i x -> T.select t i = x && T.rank x t = i)
+           (ranks l) l
+      && List.for_all
+           (fun b ->
+             T.count_le b t = List.length (List.filter (fun x -> x <= b) l))
+           (List.init 66 Fun.id)
+      && T.diff_cardinal t t2 = List.length diff
+      && List.for_all2 (fun i x -> T.rank_diff t t2 i = x) (ranks diff) diff)
 
 let prop_select_rank =
   QCheck.Test.make ~name:"select/rank consistent with sorted order" ~count:300

@@ -1,8 +1,8 @@
 (* Tests for the online-telemetry layer: lock-free SPSC rings (FIFO,
    wraparound, drop accounting, a real two-domain handoff), mergeable
-   quantile sketches (error bound, exact merge, k = 1 degeneration to
-   the histogram), the streaming oracle monitor (verdicts
-   byte-identical to Analysis.Oracle, fail-fast soak abort),
+   quantile sketches (error bound, exact merge, k = 1 against a
+   power-of-two histogram reference), the streaming oracle monitor
+   (verdicts byte-identical to Analysis.Oracle, fail-fast soak abort),
    Prometheus exposition rendering, dashboard frames, JSON string
    escaping under fuzz, and the compare.exe --help golden. *)
 
@@ -195,21 +195,46 @@ let sketch_merge_prop =
            (fun p -> Sk.percentile merged p = Sk.percentile whole p)
            [ 10.; 50.; 90.; 99.; 100. ])
 
-(* QCheck: with k = 1 the sketch is the histogram, estimate for
-   estimate. *)
+(* QCheck: with k = 1 the sketch is a power-of-two histogram.  The
+   reference never touches the sketch: sort the clamped samples, take
+   the one at rank max 1 ceil(p*n/100), raise it to its band's upper
+   edge (2^bits(v) - 1; 0 for 0; max_int from bit 62) and cap at the
+   maximum, which p = 100 returns as is. *)
+let band_upper_percentile samples p =
+  let sorted = List.sort compare (List.map (max 0) samples) in
+  let n = List.length sorted in
+  let top = List.nth sorted (n - 1) in
+  if p >= 100. then top
+  else begin
+    let rank =
+      max 1 (int_of_float (Float.ceil (p /. 100. *. float_of_int n)))
+    in
+    let v = List.nth sorted (rank - 1) in
+    let rec bits acc v = if v = 0 then acc else bits (acc + 1) (v lsr 1) in
+    let b = bits 0 v in
+    let edge =
+      if b = 0 then 0 else if b >= 62 then max_int else (1 lsl b) - 1
+    in
+    min edge top
+  end
+
 let sketch_k1_prop =
   QCheck.Test.make ~name:"sketch k=1 == histogram" ~count:200
-    QCheck.(list_of_size Gen.(1 -- 200) (int_bound 5_000_000))
+    QCheck.(
+      list_of_size
+        Gen.(1 -- 200)
+        (make
+           Gen.(
+             frequency
+               [
+                 (8, int_range (-10) 5_000_000);
+                 (1, map (fun d -> max_int - d) (int_bound 1000));
+               ])))
     (fun samples ->
       let sk = Sk.create ~sub_buckets:1 () in
-      let h = Obs.Histogram.create () in
-      List.iter
-        (fun v ->
-          Sk.add sk v;
-          Obs.Histogram.add h v)
-        samples;
+      List.iter (Sk.add sk) samples;
       List.for_all
-        (fun p -> Sk.percentile sk p = Obs.Histogram.percentile h p)
+        (fun p -> Sk.percentile sk p = band_upper_percentile samples p)
         [ 0.; 10.; 50.; 90.; 99.; 99.9; 100. ])
 
 (* ---- streaming monitor ---- *)
