@@ -680,9 +680,84 @@ module List_set : Set_intf.S = struct
     Format.fprintf fmt "{%s}" (String.concat ", " (List.map string_of_int l))
 end
 
+(* The reference is itself checked against the AVL tree on sets built by
+   the same add/remove sequences, so a disagreement in the execution
+   checks below points at KKβ, not at the reference. *)
+
+let apply_set_ops ops =
+  List.fold_left
+    (fun (ls, avl) (is_add, x) ->
+      if is_add then (List_set.add x ls, Ostree.add x avl)
+      else (List_set.remove x ls, Ostree.remove x avl))
+    (List_set.empty, Ostree.empty)
+    ops
+
+let set_ops_gen hi = QCheck.(list (pair bool (int_range 1 hi)))
+
+let prop_list_set_invariants =
+  QCheck.Test.make ~name:"list set: invariants after ops" ~count:500
+    (set_ops_gen 200) (fun ops ->
+      let ls, _ = apply_set_ops ops in
+      List_set.check_invariants ls;
+      true)
+
+let prop_list_set_elements =
+  QCheck.Test.make ~name:"list set and avl agree on elements" ~count:800
+    (set_ops_gen 80) (fun ops ->
+      let ls, avl = apply_set_ops ops in
+      List_set.elements ls = Ostree.elements avl
+      && List_set.cardinal ls = Ostree.cardinal avl)
+
+let prop_list_set_queries =
+  QCheck.Test.make ~name:"list set: select/rank/count_le = avl" ~count:400
+    (set_ops_gen 60) (fun ops ->
+      let ls, avl = apply_set_ops ops in
+      let k = List_set.cardinal ls in
+      k = Ostree.cardinal avl
+      && List.for_all
+           (fun i ->
+             let x = List_set.select ls i in
+             x = Ostree.select avl i && List_set.rank x ls = Ostree.rank x avl)
+           (List.init k (fun i -> i + 1))
+      && List.for_all
+           (fun x -> List_set.count_le x ls = Ostree.count_le x avl)
+           (List.init 80 (fun i -> i + 1)))
+
+let prop_list_set_rank_diff =
+  QCheck.Test.make ~name:"list set: rank_diff agrees with avl" ~count:300
+    QCheck.(pair (set_ops_gen 100) (set_ops_gen 100))
+    (fun (ops1, ops2) ->
+      let ls1, av1 = apply_set_ops ops1 and ls2, av2 = apply_set_ops ops2 in
+      let d = List_set.diff_cardinal ls1 ls2 in
+      d = Ostree.diff_cardinal av1 av2
+      && List.for_all
+           (fun i -> List_set.rank_diff ls1 ls2 i = Ostree.rank_diff av1 av2 i)
+           (List.init d (fun i -> i + 1)))
+
+let test_list_set_sequential_deletions () =
+  (* ascending, descending and middle-out drains, compared step by step *)
+  let check_drain order =
+    ignore
+      (List.fold_left
+         (fun (ls, avl) x ->
+           let ls = List_set.remove x ls and avl = Ostree.remove x avl in
+           List_set.check_invariants ls;
+           Alcotest.(check (list int))
+             (Printf.sprintf "after removing %d" x)
+             (Ostree.elements avl) (List_set.elements ls);
+           (ls, avl))
+         (List_set.of_range 1 64, Ostree.of_range 1 64)
+         order)
+  in
+  check_drain (List.init 64 (fun i -> i + 1));
+  check_drain (List.init 64 (fun i -> 64 - i));
+  check_drain
+    (List.init 64 (fun i -> if i mod 2 = 0 then 32 - (i / 2) else 33 + (i / 2)))
+
 module Kk_list = Core.Kk.Make (List_set)
 
-let run_list_backend ~scheduler ~n ~m ~beta =
+let run_list_backend ?(adversary = Shm.Adversary.none) ~scheduler ~n ~m ~beta
+    () =
   let metrics = Shm.Metrics.create ~m in
   let shared = Kk_list.make_shared ~metrics ~m ~capacity:n ~name:"kk" () in
   let handles =
@@ -693,7 +768,7 @@ let run_list_backend ~scheduler ~n ~m ~beta =
              ~mode:Core.Kk.Standalone ()))
   in
   let outcome =
-    Shm.Executor.run ~scheduler ~adversary:Shm.Adversary.none handles
+    Shm.Executor.run ~scheduler ~adversary handles
   in
   Shm.Trace.do_events outcome.Shm.Executor.trace
 
@@ -710,6 +785,7 @@ let test_backends_produce_identical_executions () =
       in
       let reference =
         run_list_backend ~scheduler:(Shm.Schedule.round_robin ()) ~n ~m ~beta
+          ()
       in
       Alcotest.(check (list (pair int int)))
         (Printf.sprintf "identical do-logs (beta=%d)" beta)
@@ -728,8 +804,36 @@ let test_backends_identical_under_random_schedule () =
     let reference =
       run_list_backend
         ~scheduler:(Shm.Schedule.fixed (picks ()))
-        ~n:80 ~m:3 ~beta:3
+        ~n:80 ~m:3 ~beta:3 ()
     in
+    Alcotest.(check (list (pair int int)))
+      (Printf.sprintf "seed %d" seed)
+      avl reference
+  done
+
+let test_list_backend_under_crashes () =
+  (* crashes leave stuck jobs in TRY sets and exercise [rank_diff]
+     against non-trivial exclusions; the backends must still agree *)
+  let n = 120 and m = 4 in
+  for seed = 0 to 3 do
+    let adversary () =
+      Shm.Adversary.random (Util.Prng.of_int (100 + seed)) ~f:2 ~m
+        ~horizon:(4 * n)
+    in
+    let record, picks =
+      Shm.Schedule.recording (Shm.Schedule.random (Util.Prng.of_int seed))
+    in
+    let avl =
+      (Core.Harness.kk ~scheduler:record ~adversary:(adversary ()) ~n ~m
+         ~beta:m ())
+        .Core.Harness.dos
+    in
+    let reference =
+      run_list_backend ~adversary:(adversary ())
+        ~scheduler:(Shm.Schedule.fixed (picks ()))
+        ~n ~m ~beta:m ()
+    in
+    Helpers.check_amo reference;
     Alcotest.(check (list (pair int int)))
       (Printf.sprintf "seed %d" seed)
       avl reference
@@ -771,6 +875,14 @@ let suite =
       test_backends_produce_identical_executions;
     Alcotest.test_case "backends identical under random schedules" `Quick
       test_backends_identical_under_random_schedule;
+    Alcotest.test_case "list-set backend under crashes" `Quick
+      test_list_backend_under_crashes;
+    Alcotest.test_case "list set: sequential deletions" `Quick
+      test_list_set_sequential_deletions;
+    Helpers.qtest prop_list_set_invariants;
+    Helpers.qtest prop_list_set_elements;
+    Helpers.qtest prop_list_set_queries;
+    Helpers.qtest prop_list_set_rank_diff;
     Alcotest.test_case "amo: round robin" `Quick test_amo_round_robin;
     Alcotest.test_case "amo: all schedulers" `Quick test_amo_all_schedulers;
     Alcotest.test_case "amo: random crashes" `Quick test_amo_with_random_crashes;

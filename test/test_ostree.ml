@@ -127,6 +127,22 @@ let test_pp () =
   Alcotest.(check string) "pp" "{1, 2, 3}" (Format.asprintf "%a" T.pp t);
   Alcotest.(check string) "pp empty" "{}" (Format.asprintf "%a" T.pp T.empty)
 
+let test_sequential_deletions () =
+  (* ascending, descending and middle-out drains of 1..64 *)
+  let check_drain order =
+    let t = ref (T.of_range 1 64) in
+    List.iter
+      (fun x ->
+        t := T.remove x !t;
+        T.check_invariants !t)
+      order;
+    Alcotest.(check bool) "drained" true (T.is_empty !t)
+  in
+  check_drain (List.init 64 (fun i -> i + 1));
+  check_drain (List.init 64 (fun i -> 64 - i));
+  check_drain
+    (List.init 64 (fun i -> if i mod 2 = 0 then 32 - (i / 2) else 33 + (i / 2)))
+
 (* ---- qcheck properties against a reference model ---- *)
 
 let list_model ops =
@@ -140,35 +156,61 @@ let list_model ops =
 let ops_gen =
   QCheck.(list (pair bool (int_range 1 64)))
 
-(* Sets built by add/remove sequences rather than [of_list], checked
-   query by query against the list model: elements, every rank, every
-   bound in 0..65, and [rank_diff] against a second op-built set. *)
 let prop_model_agreement =
-  QCheck.Test.make ~name:"ostree agrees with list model" ~count:500
-    (QCheck.pair ops_gen ops_gen)
-    (fun (ops1, ops2) ->
-      let t, l = list_model ops1 and t2, l2 = list_model ops2 in
+  QCheck.Test.make ~name:"ostree agrees with list model" ~count:500 ops_gen
+    (fun ops ->
+      let t, l = list_model ops in
       T.check_invariants t;
-      T.check_invariants t2;
-      let ranks xs = List.init (List.length xs) (fun i -> i + 1) in
-      let diff = List.filter (fun x -> not (List.mem x l2)) l in
+      T.elements t = l)
+
+(* The properties below build their sets by add/remove sequences rather
+   than [of_list], so rebalancing after removals is exercised before
+   every query. *)
+
+let prop_invariants_every_op =
+  QCheck.Test.make ~name:"invariants hold after every op" ~count:500
+    QCheck.(list (pair bool (int_range 1 200)))
+    (fun ops ->
+      ignore
+        (List.fold_left
+           (fun t (is_add, x) ->
+             let t = if is_add then T.add x t else T.remove x t in
+             T.check_invariants t;
+             t)
+           T.empty ops);
+      true)
+
+let prop_op_built_queries =
+  QCheck.Test.make ~name:"op-built sets: select/rank/count_le" ~count:500
+    ops_gen (fun ops ->
+      let t, l = list_model ops in
       let min_max_ok =
         match (l, List.rev l) with
         | lo :: _, hi :: _ -> T.min_elt t = lo && T.max_elt t = hi
         | _ -> T.is_empty t
       in
-      T.elements t = l
-      && T.cardinal t = List.length l
+      T.cardinal t = List.length l
       && min_max_ok
       && List.for_all2
            (fun i x -> T.select t i = x && T.rank x t = i)
-           (ranks l) l
+           (List.init (List.length l) (fun i -> i + 1))
+           l
       && List.for_all
            (fun b ->
              T.count_le b t = List.length (List.filter (fun x -> x <= b) l))
-           (List.init 66 Fun.id)
-      && T.diff_cardinal t t2 = List.length diff
-      && List.for_all2 (fun i x -> T.rank_diff t t2 i = x) (ranks diff) diff)
+           (List.init 66 Fun.id))
+
+let prop_op_built_rank_diff =
+  QCheck.Test.make ~name:"op-built sets: rank_diff vs model" ~count:500
+    (QCheck.pair ops_gen ops_gen)
+    (fun (ops1, ops2) ->
+      let t, l = list_model ops1 and t2, l2 = list_model ops2 in
+      let diff = List.filter (fun x -> not (List.mem x l2)) l in
+      T.diff_cardinal t t2 = List.length diff
+      && List.for_all2
+           (fun i x -> T.rank_diff t t2 i = x)
+           (List.init (List.length diff) (fun i -> i + 1))
+           diff)
 
 let prop_select_rank =
   QCheck.Test.make ~name:"select/rank consistent with sorted order" ~count:300
@@ -235,9 +277,14 @@ let suite =
     Alcotest.test_case "rank_diff prefix excluded" `Quick
       test_rank_diff_prefix_excluded;
     Alcotest.test_case "pp" `Quick test_pp;
+    Alcotest.test_case "sequential deletions keep invariants" `Quick
+      test_sequential_deletions;
     Helpers.qtest prop_model_agreement;
     Helpers.qtest prop_select_rank;
     Helpers.qtest prop_rank_diff_naive;
     Helpers.qtest prop_balance;
     Helpers.qtest prop_count_le;
+    Helpers.qtest prop_invariants_every_op;
+    Helpers.qtest prop_op_built_queries;
+    Helpers.qtest prop_op_built_rank_diff;
   ]
