@@ -38,19 +38,19 @@ let tests =
              ignore (Core.Harness.pairing ~trace_level:`Silent ~n:4096 ~m:4 ())));
       Test.make ~name:"ostree of_range n=4096"
         (Staged.stage (fun () -> ignore (Ostree.of_range 1 4096)));
-      Test.make ~name:"ostree rank_diff (|s2|=8, n=4096)"
+      Test.make ~name:"ostree rank_diff (|TRY|=8, n=4096)"
         (let s1 = Ostree.of_range 1 4096 in
-         let s2 = Ostree.of_list [ 5; 100; 600; 1200; 2000; 2500; 3000; 4000 ] in
+         let s2 = Trybuf.of_list [ 5; 100; 600; 1200; 2000; 2500; 3000; 4000 ] in
          Staged.stage (fun () -> ignore (Ostree.rank_diff s1 s2 2048)));
       (* the algorithm's access pattern on the set: interleaved
          add/remove/select churn *)
-      Test.make ~name:"ostree(avl) churn 512 ops"
+      Test.make ~name:"ostree churn 512 ops"
         (Staged.stage (fun () ->
-             let t = ref (Ostree.of_range 1 256) in
+             let t = Ostree.build 512 (fun add -> for i = 1 to 256 do add i done) in
              for i = 1 to 256 do
-               t := Ostree.remove i !t;
-               t := Ostree.add (256 + i) !t;
-               ignore (Ostree.select !t ((i mod Ostree.cardinal !t) + 1))
+               Ostree.remove i t;
+               Ostree.add (256 + i) t;
+               ignore (Ostree.select t ((i mod Ostree.cardinal t) + 1))
              done));
     ]
 

@@ -563,14 +563,16 @@ let pairing_cmd =
       $ trace_out)
 
 let msg_cmd =
-  let run n m servers seed f log_level json =
+  let run n m servers max_deliveries seed f log_level json =
     apply_log_level log_level;
     let rng = Util.Prng.of_int seed in
     let crash_plan =
       List.init (min f (m - 1)) (fun i ->
           ((i + 1) * 50 * n / m, `Client (i + 1)))
     in
-    let o = Msg.Kk_mp.run_kk ~crash_plan ~servers ~n ~m ~beta:m ~rng () in
+    let o =
+      Msg.Kk_mp.run_kk ~crash_plan ?max_deliveries ~servers ~n ~m ~beta:m ~rng ()
+    in
     let amo_ok = Result.is_ok (Core.Spec.check_at_most_once o.Msg.Kk_mp.dos) in
     (* the crash plan never kills a server, so a client still waiting
        at the end was cut off by the delivery cap *)
@@ -624,13 +626,22 @@ let msg_cmd =
     let doc = "Number of ABD replica servers." in
     Cmdliner.Arg.(value & opt int 3 & info [ "servers" ] ~docv:"S" ~doc)
   in
+  let max_deliveries =
+    let doc =
+      "Stop the run after $(docv) message deliveries; a run stopped there \
+       reports truncated and exits 1.  Default: max(2000000, 40 * S * m * n), \
+       about four times what a complete run needs."
+    in
+    Cmdliner.Arg.(
+      value & opt (some int) None & info [ "max-deliveries" ] ~docv:"D" ~doc)
+  in
   let doc =
     "Run KKbeta over message passing (ABD-emulated atomic registers)."
   in
   Cmd.v (Cmd.info "msg" ~doc)
     Term.(
-      const run $ jobs $ procs $ servers $ seed $ crashes $ log_level
-      $ json_flag)
+      const run $ jobs $ procs $ servers $ max_deliveries $ seed $ crashes
+      $ log_level $ json_flag)
 
 let explore_cmd =
   let run n m beta_opt branch_depth max_steps domains fingerprint differential
@@ -933,6 +944,7 @@ let chaos_cmd =
                         ( "stuck",
                           J.List (List.map (fun p -> J.Int p) r.stuck) );
                         ("deliveries", J.Int r.deliveries);
+                        ("truncated", J.Bool r.truncated);
                         ( "violations",
                           J.List
                             (List.map
@@ -947,12 +959,17 @@ let chaos_cmd =
               Fmt.pr "stuck clients   : [%s]@."
                 (String.concat "; " (List.map string_of_int r.stuck));
               Fmt.pr "deliveries      : %d@." r.deliveries;
+              if r.truncated then
+                Fmt.pr
+                  "truncated       : stopped at the delivery cap after %d \
+                   deliveries@."
+                  r.deliveries;
               Fmt.pr "oracles         : %s@."
                 (if r.violations = [] then "OK"
                  else Printf.sprintf "%d VIOLATED" (List.length r.violations))
             end;
             pr_violations r.violations;
-            if r.violations <> [] then exit 1
+            if r.truncated || r.violations <> [] then exit 1
         | Ok plan ->
             let r =
               (* budget exhaustion must not masquerade as a passing

@@ -210,9 +210,10 @@ let worker_footprint w =
       else Footprint.Internal (* next step is the level advance *)
 
 let processes ?collision ?(policy = Policy.Rank_split) ?(verbose = false) plan =
+  (* every process copies it (Kk.create) *)
+  let free0 = Superjob.ids_at plan.hierarchy 0 in
   Array.init plan.m (fun i ->
       let pid = i + 1 in
-      let free0 = Superjob.ids_at plan.hierarchy 0 in
       let inner =
         make_inner plan ~pid ~policy ~collision ~verbose ~level:0 ~free:free0
       in

@@ -86,10 +86,10 @@ type t = {
   verbose : bool;
   provenance : bool;
   blame : bool; (* populate try_owner/done_owner (collision or provenance) *)
-  initial_free : Set.t;
+  initial_free : Set.t; (* FREE₀, never mutated *)
   mutable status : status;
   mutable free : Set.t;
-  mutable tries : Set.t;
+  tries : Trybuf.t;
   pos : int array; (* pos.(q), 1-based, next cell of row q to read/write *)
   mutable next_j : int;
   mutable q : int;
@@ -141,10 +141,11 @@ let create ~shared ~pid ~beta ~policy ~free ?collision
     verbose;
     provenance;
     blame = Option.is_some collision || provenance;
-    initial_free = free;
+    (* copies: the caller's set may be another process's FREE₀ too *)
+    initial_free = Set.copy free;
     status = Comp_next;
-    free;
-    tries = Set.empty;
+    free = Set.copy free;
+    tries = Trybuf.create shared.sh_m;
     pos = Array.make (shared.sh_m + 1) 1;
     next_j = 0;
     q = 1;
@@ -198,16 +199,14 @@ let mwrite_event t mat row col value =
    from shared memory, then produce the output set. *)
 let enter_final_gather t =
   t.finalizing <- true;
-  t.tries <- Set.empty;
+  Trybuf.clear t.tries;
   Hashtbl.reset t.try_owner;
   t.q <- 1;
   t.status <- Gather_try
 
 let finish_iter_step t keep_try =
-  let out =
-    if keep_try then t.free
-    else Set.fold (fun x acc -> Set.remove x acc) t.tries t.free
-  in
+  let out = Set.copy t.free in
+  if not keep_try then Trybuf.iter (fun x -> Set.remove x out) t.tries;
   t.output <- Some out;
   t.status <- End;
   [ Event.Terminate { p = t.pid } ]
@@ -215,12 +214,12 @@ let finish_iter_step t keep_try =
 let step_comp_next t =
   Metrics.on_internal (metrics t) ~p:t.pid;
   Metrics.add_work (metrics t) ~p:t.pid
-    (Policy.work_cost ~try_cardinal:(Set.cardinal t.tries)
+    (Policy.work_cost ~try_cardinal:(Trybuf.cardinal t.tries)
        ~log_n:t.shared.log_unit);
   let avail = Set.diff_cardinal t.free t.tries in
   if avail >= t.beta then begin
     t.next_j <-
-      P.choose t.policy ~p:t.pid ~m:(m t) ~free:t.free ~try_set:t.tries;
+      P.choose t.policy ~p:t.pid ~m:(m t) ~avail ~free:t.free ~try_set:t.tries;
     let pick =
       if t.provenance then
         [
@@ -229,12 +228,12 @@ let step_comp_next t =
               p = t.pid;
               job = t.next_j;
               free_card = Set.cardinal t.free;
-              try_card = Set.cardinal t.tries;
+              try_card = Trybuf.cardinal t.tries;
             };
         ]
       else []
     in
-    t.tries <- Set.empty;
+    Trybuf.clear t.tries;
     Hashtbl.reset t.try_owner;
     t.q <- 1;
     t.status <- Set_next;
@@ -270,7 +269,7 @@ let step_gather_try t =
     if t.q <> t.pid then begin
       let v = Memory.vget t.shared.next ~p:t.pid t.q in
       if v > 0 then begin
-        t.tries <- Set.add v t.tries;
+        Trybuf.add v t.tries;
         if t.blame then Hashtbl.replace t.try_owner v t.q;
         Metrics.add_work (metrics t) ~p:t.pid t.shared.log_unit
       end;
@@ -295,7 +294,7 @@ let step_gather_done t =
       let v = Memory.mget t.shared.done_m ~p:t.pid t.q c in
       let ev = mread_event t t.shared.done_m t.q c v in
       if v > 0 then begin
-        t.free <- Set.remove v t.free;
+        Set.remove v t.free;
         if t.blame && not (Hashtbl.mem t.done_owner v) then
           Hashtbl.add t.done_owner v t.q;
         t.pos.(t.q) <- c + 1;
@@ -335,7 +334,7 @@ let record_collision t =
       (* Definition 5.2: a TRY hit is attributed first; a DONE hit is a
          collision only when the job is not in TRY. *)
       let blame =
-        if Set.mem t.next_j t.tries then Hashtbl.find_opt t.try_owner t.next_j
+        if Trybuf.mem t.next_j t.tries then Hashtbl.find_opt t.try_owner t.next_j
         else Hashtbl.find_opt t.done_owner t.next_j
       in
       (match blame with
@@ -348,7 +347,7 @@ let step_check t =
   Metrics.add_work (metrics t) ~p:t.pid (2 * t.shared.log_unit);
   let safe =
     t.mutant_skip_check
-    || ((not (Set.mem t.next_j t.tries)) && Set.mem t.next_j t.free)
+    || ((not (Trybuf.mem t.next_j t.tries)) && Set.mem t.next_j t.free)
   in
   if safe then begin
     (match t.mode with
@@ -361,7 +360,7 @@ let step_check t =
     let forfeit =
       if t.provenance then begin
         let hit, owners =
-          if Set.mem t.next_j t.tries then ("try", t.try_owner)
+          if Trybuf.mem t.next_j t.tries then ("try", t.try_owner)
           else ("done", t.done_owner)
         in
         let owner = Option.value ~default:0 (Hashtbl.find_opt owners t.next_j) in
@@ -392,7 +391,7 @@ let step_done_write t =
   assert (c <= cols t);
   Memory.mset t.shared.done_m ~p:t.pid t.pid c t.next_j;
   let ev = mwrite_event t t.shared.done_m t.pid c t.next_j in
-  t.free <- Set.remove t.next_j t.free;
+  Set.remove t.next_j t.free;
   t.pos.(t.pid) <- c + 1;
   Metrics.add_work (metrics t) ~p:t.pid (2 * t.shared.log_unit);
   t.status <- Comp_next;
@@ -431,7 +430,7 @@ let step_rec_scan t =
     let v = Memory.mget t.shared.done_m ~p:t.pid t.pid c in
     let ev = mread_event t t.shared.done_m t.pid c v in
     if v > 0 then begin
-      t.free <- Set.remove v t.free;
+      Set.remove v t.free;
       t.pos.(t.pid) <- c + 1;
       Metrics.add_work (metrics t) ~p:t.pid (2 * t.shared.log_unit)
     end
@@ -471,7 +470,7 @@ let step_rec_mark t =
       if t.provenance then [ Event.Recover { p = t.pid; job = t.rec_suspect } ]
       else []
     in
-    t.free <- Set.remove t.rec_suspect t.free;
+    Set.remove t.rec_suspect t.free;
     t.pos.(t.pid) <- c + 1;
     Metrics.add_work (metrics t) ~p:t.pid (2 * t.shared.log_unit);
     t.rec_suspect <- 0;
@@ -482,8 +481,8 @@ let step_rec_mark t =
 let restart t =
   if t.status <> Stop then false
   else begin
-    t.free <- t.initial_free;
-    t.tries <- Set.empty;
+    t.free <- Set.copy t.initial_free;
+    Trybuf.clear t.tries;
     Hashtbl.reset t.try_owner;
     Hashtbl.reset t.done_owner;
     Array.fill t.pos 0 (Array.length t.pos) 1;
@@ -565,8 +564,9 @@ let status_code = function
   | End -> 12
   | Stop -> 13
 
-let hash_set s =
-  Set.fold (fun x acc -> Util.Mix.combine acc x) s (Set.cardinal s)
+(* Both sets hash as an ascending fold seeded with the cardinality. *)
+let hash_set s = Set.fold (fun x acc -> Util.Mix.combine acc x) s (Set.cardinal s)
+let hash_try b = Trybuf.fold (fun x acc -> Util.Mix.combine acc x) b (Trybuf.cardinal b)
 
 (* Everything the process's future behavior can depend on: control
    status and local sets/cursors, plus the content hashes of the
@@ -582,7 +582,7 @@ let fingerprint t =
   let h = bool h t.finalizing in
   let h = combine h t.rec_suspect in
   let h = combine h (hash_set t.free) in
-  let h = combine h (hash_set t.tries) in
+  let h = combine h (hash_try t.tries) in
   let h = Array.fold_left combine h t.pos in
   let h = combine h (Memory.vhash t.shared.next) in
   let h = combine h (Memory.mhash t.shared.done_m) in

@@ -40,11 +40,15 @@
     those "j ∈ DONE" is "j ∉ FREE".  Work charges still model Fig. 2's
     two tree operations per DONE update.
 
-    The algorithm only needs its FREE/TRY sets through the
-    order-statistic interface {!Set_intf.S} ("red-black tree or some
-    variant of B-tree", §3), so the implementation is a functor; the
-    toplevel values are the instantiation over {!Ostree} (AVL), and
-    [Make (S)] runs the identical algorithm over any other [S]. *)
+    The algorithm only needs its FREE set through the order-statistic
+    interface {!Set_intf.S} ("red-black tree or some variant of
+    B-tree", §3), so the implementation is a functor; the toplevel
+    values are the instantiation over {!Ostree} (bitset + Fenwick
+    tree), and [Make (S)] runs the identical algorithm over any other
+    [S].  TRY, which never holds more than m − 1 jobs and is emptied
+    at every [comp_next], is a sorted {!Trybuf} of capacity m.
+    [comp_next] computes |FREE \ TRY| once, for both the β test and
+    the {!Policy}. *)
 
 type mode = Kk_intf.mode =
   | Standalone  (** plain KKβ: terminate when |FREE \ TRY| < β *)
@@ -63,7 +67,9 @@ module type S = Kk_intf.S
       flag; [flag_value] peeks at the flag (checkers only).
     - [create ~shared ~pid ~beta ~policy ~free ~mode ()] builds one
       process with initial FREE set [free] (for standalone KKβ pass
-      [Job.universe ~n]).  [perform] (default: emit one [Do] event)
+      [Job.universe ~n]).  The process works on its own copy of
+      [free] and keeps another as FREE₀ for [restart], so one set may
+      be passed to every process.  [perform] (default: emit one [Do] event)
       expands the [do] action; [perform_work] (default [fun _ -> 1])
       is the work charged for it; [verbose] makes every step emit
       [Read]/[Write]/[Internal] events for [`Full] traces, each
@@ -105,13 +111,15 @@ module type S = Kk_intf.S
       register the next action will touch, driving the explorer's
       partial-order reduction.
     - [result] is the IterStepKK output set ([Some] once terminated in
-      [Iter_step] mode).
+      [Iter_step] mode), a fresh set.
     - [do_count], [collisions_detected], [status_name], [free_set],
-      [try_set], [announced]: introspection; DONE is FREE₀ \ [free_set]. *)
+      [try_set], [announced]: introspection; DONE is FREE₀ \ [free_set].
+      [free_set] and [try_set] are the live sets: read them, do not
+      mutate them. *)
 
 module Make (Set : Set_intf.S) : S with type set = Set.t
 (** KKβ over an arbitrary order-statistic backend. *)
 
 include S with type set = Ostree.t
-(** The default (AVL) instantiation — what the rest of the repository
-    uses. *)
+(** The default ({!Ostree}) instantiation — what the rest of the
+    repository uses. *)

@@ -33,24 +33,24 @@ type flag = { is_set : unit -> bool; set : unit -> unit }
    done[pos pid].  Without a flag the instance ends when
    |FREE \ TRY| < β (or the job budget is spent) and returns FREE.
    With one it sets the flag, or finds it set before a do, then
-   gathers TRY and DONE once more and returns FREE \ TRY. *)
+   gathers TRY and DONE once more and returns FREE \ TRY.  [free] is
+   the instance's own: it is updated in place and returned. *)
 let run ~ledger ?flag ?(budget = max_int) ~m ~beta ~policy ~pid ~free mem
     ~do_job =
   let cols = mem.cols in
   let log_unit = Params.log2_ceil (max 2 cols) in
   let module M = Shm.Metrics in
-  let free = ref free in
-  let tries = ref Ostree.empty in
+  let tries = Trybuf.create m in
   let pos = Array.make (m + 1) 1 in
   let count = ref 0 in
   let gather_try () =
-    tries := Ostree.empty;
+    Trybuf.clear tries;
     for q = 1 to m do
       if q <> pid then begin
         let v = mem.read_next q in
         M.on_read ledger ~p:pid;
         if v > 0 then begin
-          tries := Ostree.add v !tries;
+          Trybuf.add v tries;
           M.add_work ledger ~p:pid log_unit
         end
       end
@@ -64,7 +64,7 @@ let run ~ledger ?flag ?(budget = max_int) ~m ~beta ~policy ~pid ~free mem
           let v = mem.read_done q pos.(q) in
           M.on_read ledger ~p:pid;
           if v > 0 then begin
-            free := Ostree.remove v !free;
+            Ostree.remove v free;
             pos.(q) <- pos.(q) + 1;
             M.add_work ledger ~p:pid (2 * log_unit)
           end
@@ -76,7 +76,8 @@ let run ~ledger ?flag ?(budget = max_int) ~m ~beta ~policy ~pid ~free mem
   let finalize () =
     gather_try ();
     gather_done ();
-    Ostree.fold Ostree.remove !tries !free
+    Trybuf.iter (fun x -> Ostree.remove x free) tries;
+    free
   in
   let flag_set () =
     match flag with
@@ -87,42 +88,43 @@ let run ~ledger ?flag ?(budget = max_int) ~m ~beta ~policy ~pid ~free mem
     | None -> false
   in
   let rec loop () =
-    if !count >= budget then !free
-    else if Ostree.diff_cardinal !free !tries < beta then
-      match flag with
-      | Some f ->
-          f.set ();
-          M.on_write ledger ~p:pid;
-          finalize ()
-      | None -> !free
-    else begin
-      M.on_internal ledger ~p:pid;
-      M.add_work ledger ~p:pid
-        (Policy.work_cost ~try_cardinal:(Ostree.cardinal !tries)
-           ~log_n:log_unit);
-      let job = Policy.choose policy ~p:pid ~m ~free:!free ~try_set:!tries in
-      mem.write_next job;
-      M.on_write ledger ~p:pid;
-      gather_try ();
-      gather_done ();
-      M.on_internal ledger ~p:pid;
-      M.add_work ledger ~p:pid (2 * log_unit);
-      (* job ∈ DONE iff job ∉ FREE: it was picked from FREE₀ (kk.mli) *)
-      if Ostree.mem job !tries || not (Ostree.mem job !free) then loop ()
-      else if flag_set () then finalize ()
+    if !count >= budget then free
+    else
+      let avail = Ostree.diff_cardinal free tries in
+      if avail < beta then
+        match flag with
+        | Some f ->
+            f.set ();
+            M.on_write ledger ~p:pid;
+            finalize ()
+        | None -> free
       else begin
-        do_job job;
-        incr count;
         M.on_internal ledger ~p:pid;
-        M.add_work ledger ~p:pid 1;
-        mem.write_done pos.(pid) job;
+        M.add_work ledger ~p:pid
+          (Policy.work_cost ~try_cardinal:(Trybuf.cardinal tries) ~log_n:log_unit);
+        let job = Policy.choose policy ~p:pid ~m ~avail ~free ~try_set:tries in
+        mem.write_next job;
         M.on_write ledger ~p:pid;
+        gather_try ();
+        gather_done ();
+        M.on_internal ledger ~p:pid;
         M.add_work ledger ~p:pid (2 * log_unit);
-        free := Ostree.remove job !free;
-        pos.(pid) <- pos.(pid) + 1;
-        loop ()
+        (* job ∈ DONE iff job ∉ FREE: it was picked from FREE₀ (kk.mli) *)
+        if Trybuf.mem job tries || not (Ostree.mem job free) then loop ()
+        else if flag_set () then finalize ()
+        else begin
+          do_job job;
+          incr count;
+          M.on_internal ledger ~p:pid;
+          M.add_work ledger ~p:pid 1;
+          mem.write_done pos.(pid) job;
+          M.on_write ledger ~p:pid;
+          M.add_work ledger ~p:pid (2 * log_unit);
+          Ostree.remove job free;
+          pos.(pid) <- pos.(pid) + 1;
+          loop ()
+        end
       end
-    end
   in
   loop ()
 
@@ -138,8 +140,8 @@ let iterative ~ledger ~hierarchy ~m ~pid level ~perform =
   for l = 0 to levels - 1 do
     let mem, flag = level l in
     let out =
-      run ~ledger ~flag ~m ~beta ~policy:Policy.Rank_split ~pid ~free:!free
-        mem ~do_job:(perform ~level:l)
+      run ~ledger ~flag ~m ~beta ~policy:Policy.Rank_split ~pid ~free:!free mem
+        ~do_job:(perform ~level:l)
     in
     if l + 1 < levels then
       free := Superjob.map_down hierarchy ~from_level:l out

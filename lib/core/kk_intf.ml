@@ -1,6 +1,6 @@
 (* Interface-only module: the mode type and the signature one KKβ
    instantiation presents, shared between the functor and its default
-   (AVL-backed) instantiation.  Documentation lives in kk.mli. *)
+   ({!Ostree}-backed) instantiation.  Documentation lives in kk.mli. *)
 
 type mode = Standalone | Iter_step of { keep_try : bool }
 
@@ -58,7 +58,7 @@ module type S = sig
 
   val free_set : t -> set
 
-  val try_set : t -> set
+  val try_set : t -> Trybuf.t
 
   val announced : t -> int
 end

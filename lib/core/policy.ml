@@ -6,8 +6,7 @@ let name = function
   | Lowest_free -> "lowest-free"
 
 module Make (Set : Set_intf.S) = struct
-  let choose pol ~p ~m ~free ~try_set =
-    let avail = Set.diff_cardinal free try_set in
+  let choose pol ~p ~m ~avail ~free ~try_set =
     if avail < 1 then invalid_arg "Policy.choose: FREE \\ TRY is empty";
     let idx =
       match pol with

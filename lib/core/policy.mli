@@ -14,9 +14,10 @@
     Censor-Hillel [22]; [Lowest_free] is the natural greedy rule whose
     collision behaviour the paper's rule is designed to avoid.
 
-    The selection arithmetic is independent of the balanced-tree
-    backend, so it is provided as a functor over {!Set_intf.S}; the
-    toplevel [choose] is the default ({!Ostree}, AVL) instantiation. *)
+    The selection arithmetic is independent of the set
+    implementation, so it is provided as a functor over
+    {!Set_intf.S}; the toplevel [choose] is the default ({!Ostree})
+    instantiation. *)
 
 type t =
   | Rank_split  (** the paper's rule (Fig. 2, [compNextp]) *)
@@ -27,11 +28,14 @@ type t =
 val name : t -> string
 
 module Make (Set : Set_intf.S) : sig
-  val choose : t -> p:int -> m:int -> free:Set.t -> try_set:Set.t -> int
-  (** [choose pol ~p ~m ~free ~try_set] returns the candidate job.
+  val choose :
+    t -> p:int -> m:int -> avail:int -> free:Set.t -> try_set:Trybuf.t -> int
+  (** [choose pol ~p ~m ~avail ~free ~try_set] returns the candidate
+      job.  [avail] is [|FREE \ TRY|], which the caller has already
+      computed for its β test.
 
-      Precondition: [FREE \ TRY] is non-empty (the algorithm only
-      calls this when its cardinality is at least β ≥ 1).
+      Precondition: [avail >= 1] (the algorithm only calls this when
+      it is at least β ≥ 1).
 
       For [Rank_split] this computes, with [nf = |FREE|]:
       - if [(nf − (m−1)) / m >= 1]: rank [⌊(p−1)·(nf−m+1)/m⌋ + 1];
@@ -43,7 +47,8 @@ module Make (Set : Set_intf.S) : sig
       preserved. *)
 end
 
-val choose : t -> p:int -> m:int -> free:Ostree.t -> try_set:Ostree.t -> int
+val choose :
+  t -> p:int -> m:int -> avail:int -> free:Ostree.t -> try_set:Trybuf.t -> int
 (** [Make (Ostree)]'s [choose]. *)
 
 val work_cost : try_cardinal:int -> log_n:int -> int

@@ -24,7 +24,8 @@ let assert_at_most_once dos =
   | Error v -> failwith (Format.asprintf "at-most-once violated: %a" pp_violation v)
 
 let performed_set dos =
-  List.fold_left (fun acc (_, job) -> Ostree.add job acc) Ostree.empty dos
+  let cap = List.fold_left (fun c (_, job) -> max c job) 0 dos in
+  Ostree.build cap (fun add -> List.iter (fun (_, job) -> add job) dos)
 
 let do_count dos = Ostree.cardinal (performed_set dos)
 
@@ -39,5 +40,7 @@ let per_process_counts ~m dos =
 
 let undone_jobs ~n dos =
   let performed = performed_set dos in
-  let rec go j acc = if j < 1 then acc else go (j - 1) (if Ostree.mem j performed then acc else j :: acc) in
+  let rec go j acc =
+    if j < 1 then acc else go (j - 1) (if Ostree.mem j performed then acc else j :: acc)
+  in
   go n []

@@ -29,7 +29,8 @@ val do_count : (int * int) list -> int
 (** Number of distinct jobs performed — [Do(α)]. *)
 
 val performed_set : (int * int) list -> Ostree.t
-(** The set [Jα] of performed jobs. *)
+(** The set [Jα] of performed jobs, a fresh set over [0..max job]
+    built in one pass.  @raise Invalid_argument on a negative job. *)
 
 val per_process_counts : m:int -> (int * int) list -> int array
 (** [a.(p)] = jobs performed by process [p]; index 0 unused. *)

@@ -66,9 +66,10 @@ let interval t ~level ~id =
   | Some iv -> iv
   | None -> raise Not_found
 
+(* Every level's ids are block [lo]s, sparse in 1..n, so every set of
+   ids is over the universe [0..n]. *)
 let ids_at t k =
-  Array.fold_left (fun acc (lo, _) -> Ostree.add lo acc) Ostree.empty
-    (get_level t k).blocks
+  Ostree.build t.n (fun add -> Array.iter (fun (lo, _) -> add lo) (get_level t k).blocks)
 
 let children t ~level ~id =
   if level + 1 >= num_levels t then
@@ -77,13 +78,8 @@ let children t ~level ~id =
   List.map fst (subdivide (level_size t (level + 1)) iv)
 
 let map_down t ~from_level ids =
-  Ostree.fold
-    (fun id acc ->
-      List.fold_left
-        (fun acc child -> Ostree.add child acc)
-        acc
-        (children t ~level:from_level ~id))
-    ids Ostree.empty
+  Ostree.build t.n (fun add ->
+      Ostree.iter (fun id -> List.iter add (children t ~level:from_level ~id)) ids)
 
 let boundary_loss_if_unnested t ~from_level ids =
   if from_level + 1 >= num_levels t then
@@ -116,9 +112,11 @@ let boundary_loss_if_unnested t ~from_level ids =
   !lost
 
 let jobs_of_ids t ~level ids =
-  Ostree.fold
-    (fun id acc ->
-      let lo, hi = interval t ~level ~id in
-      let rec add j acc = if j > hi then acc else add (j + 1) (Ostree.add j acc) in
-      add lo acc)
-    ids Ostree.empty
+  Ostree.build t.n (fun add ->
+      Ostree.iter
+        (fun id ->
+          let lo, hi = interval t ~level ~id in
+          for j = lo to hi do
+            add j
+          done)
+        ids)

@@ -41,7 +41,8 @@ val interval : t -> level:int -> id:int -> int * int
     [level].  @raise Not_found if no such block. *)
 
 val ids_at : t -> int -> Ostree.t
-(** All block ids of level [k]. *)
+(** All block ids of level [k], as a fresh set over [0..n] (ids are
+    block [lo]s, sparse in [1..n]). *)
 
 val children : t -> level:int -> id:int -> int list
 (** Ids of the level [k+1] blocks that partition this block,
@@ -49,8 +50,8 @@ val children : t -> level:int -> id:int -> int list
 
 val map_down : t -> from_level:int -> Ostree.t -> Ostree.t
 (** The paper's [map]: the level [k+1] ids covering exactly the jobs
-    of the given level-[k] ids.  Exact by nesting: the output covers
-    the same job set as the input. *)
+    of the given level-[k] ids, as a fresh set over [0..n].  Exact by
+    nesting: the output covers the same job set as the input. *)
 
 val jobs_of_ids : t -> level:int -> Ostree.t -> Ostree.t
 (** Expand block ids to the underlying job set (checkers/tests). *)

@@ -287,10 +287,11 @@ type net_result = {
   completed : int list;
   stuck : int list;
   deliveries : int;
+  truncated : bool;
   violations : Analysis.Oracle.violation list;
 }
 
-let run_net_plan ?(servers = 3) (plan : Plan.t) =
+let run_net_plan ?(servers = 3) ?max_deliveries (plan : Plan.t) =
   (match Plan.validate plan with
   | Ok () -> ()
   | Error e -> invalid_arg ("Chaos.run_net_plan: " ^ e));
@@ -301,8 +302,12 @@ let run_net_plan ?(servers = 3) (plan : Plan.t) =
   let bodies =
     Array.init m (fun i -> Msg.Kk_mp.kk_body ~n ~m ~beta ~pid:(i + 1))
   in
+  let max_deliveries =
+    Option.value max_deliveries
+      ~default:(Msg.Kk_mp.default_max_deliveries ~servers ~n ~m)
+  in
   let outcome =
-    Msg.Abd.run
+    Msg.Abd.run ~max_deliveries
       ~deliver:(Inject.net_deliver ~plan ())
       ~servers
       ~registers:(Msg.Kk_mp.register_count ~n ~m)
@@ -322,10 +327,16 @@ let run_net_plan ?(servers = 3) (plan : Plan.t) =
             (Printf.sprintf "job %d performed by p%d and again by p%d" j p0 p)
       | None -> Hashtbl.add seen j p)
     outcome.Msg.Abd.dos;
+  (* a run cut at the delivery cap is truncated, not wrong: its
+     clients are stranded by the budget, so only at-most-once (which
+     holds for every prefix) is judged *)
+  let truncated =
+    outcome.Msg.Abd.stuck <> [] && outcome.Msg.Abd.deliveries >= max_deliveries
+  in
   (* liveness and effectiveness only promised without message loss:
      every non-Drop window heals, so all clients must complete and
      (with zero client crashes) the Theorem 4.4 floor must hold *)
-  if not (Plan.lossy plan) then begin
+  if not (truncated || Plan.lossy plan) then begin
     List.iter
       (fun c -> add "quiescence" (Printf.sprintf "client %d stuck" c))
       outcome.Msg.Abd.stuck;
@@ -345,5 +356,6 @@ let run_net_plan ?(servers = 3) (plan : Plan.t) =
     completed = outcome.Msg.Abd.completed;
     stuck = outcome.Msg.Abd.stuck;
     deliveries = outcome.Msg.Abd.deliveries;
+    truncated;
     violations = List.rev !violations;
   }

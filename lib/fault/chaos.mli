@@ -154,14 +154,19 @@ type net_result = {
   completed : int list;
   stuck : int list;
   deliveries : int;
+  truncated : bool;
+      (** delivery stopped at [max_deliveries] with clients unfinished *)
   violations : Analysis.Oracle.violation list;
 }
 
-val run_net_plan : ?servers:int -> Plan.t -> net_result
+val run_net_plan : ?servers:int -> ?max_deliveries:int -> Plan.t -> net_result
 (** Execute a message-passing plan: KKβ clients over ABD-emulated
-    registers with the plan's fault windows driving delivery.
-    At-most-once is checked unconditionally; the no-stuck-client and
-    effectiveness-floor oracles apply only to loss-free plans (a
-    [Drop] window may legitimately strand a client — the emulation has
-    no retransmission).
+    registers with the plan's fault windows driving delivery, for at
+    most [max_deliveries] deliveries (default
+    {!Msg.Kk_mp.default_max_deliveries}).  At-most-once is checked
+    unconditionally; the no-stuck-client and effectiveness-floor
+    oracles apply only to loss-free plans (a [Drop] window may
+    legitimately strand a client — the emulation has no
+    retransmission) that were not [truncated] (a budget stop is
+    reported as such, never as a violation).
     @raise Invalid_argument on an invalid or shared-memory plan. *)

@@ -24,6 +24,11 @@ let done_reg ~n ~m q c =
 
 let register_count ~n ~m = m + (m * n)
 
+(* KKβ over ABD spends 8-12 deliveries per job, per client and per
+   server (n = 500-2000, m = 2-16, 3 or 5 servers); 40 leaves room
+   for collisions and crashes. *)
+let default_max_deliveries ~servers ~n ~m = max 2_000_000 (40 * servers * m * n)
+
 (* The outcome carries no work measure (deliveries are the cost unit
    here), so the body's charges go to a ledger nobody reads. *)
 let kk_body ~n ~m ~beta ~pid ~read ~write ~do_job =
@@ -80,6 +85,9 @@ let level_mem ~m ~pid ~read ~write bank =
       set = (fun () -> write (lv_flag ~m bank) 1);
     } )
 
+let cap max_deliveries ~servers ~n ~m =
+  Option.value max_deliveries ~default:(default_max_deliveries ~servers ~n ~m)
+
 let run_iterative ?crash_plan ?max_deliveries ~servers ~n ~m ~epsilon_inv ~rng
     () =
   if m < 1 || n < m then invalid_arg "Kk_mp.run_iterative: need 1 <= m <= n";
@@ -102,7 +110,8 @@ let run_iterative ?crash_plan ?max_deliveries ~servers ~n ~m ~epsilon_inv ~rng
             done))
   in
   of_abd
-    (Abd.run ?crash_plan ?max_deliveries
+    (Abd.run ?crash_plan
+       ~max_deliveries:(cap max_deliveries ~servers ~n ~m)
        ~multi_writer:(fun reg -> List.mem reg flags)
        ~servers ~registers ~rng ~client_bodies:bodies ())
 
@@ -113,6 +122,8 @@ let run_kk ?crash_plan ?max_deliveries ~servers ~n ~m ~beta ~rng () =
     Array.init m (fun i -> kk_body ~n ~m ~beta ~pid:(i + 1))
   in
   of_abd
-    (Abd.run ?crash_plan ?max_deliveries ~servers
+    (Abd.run ?crash_plan
+       ~max_deliveries:(cap max_deliveries ~servers ~n ~m)
+       ~servers
        ~registers:(register_count ~n ~m)
        ~rng ~client_bodies:bodies ())

@@ -27,6 +27,12 @@ val register_count : n:int -> m:int -> int
 (** Registers the emulation needs: [m] announcement cells plus the
     m × n done matrix. *)
 
+val default_max_deliveries : servers:int -> n:int -> m:int -> int
+(** The delivery cap {!run_kk} and {!run_iterative} use unless given
+    one: [max 2_000_000 (40 · servers · m · n)], about four times what
+    a KKβ run spends (8-12 deliveries per job, client and server), so
+    only a run that cannot finish reaches it. *)
+
 val kk_body : n:int -> m:int -> beta:int -> pid:int -> Abd.body
 (** Process [pid]'s program: Fig. 2 against [read]/[write]. *)
 
@@ -41,7 +47,9 @@ val run_kk :
   unit ->
   outcome
 (** Run the full system: [servers] replicas, [m] KKβ clients, [n]
-    jobs, random (adversarial) message delivery.
+    jobs, random (adversarial) message delivery, stopping after
+    [max_deliveries] (default {!default_max_deliveries}).  A stop at
+    the cap leaves the unfinished clients in [stuck].
     @raise Invalid_argument unless [1 <= m <= n], [beta >= 1] and
     [servers >= 1]. *)
 
@@ -59,4 +67,5 @@ val run_iterative :
     passing: one register bank per super-job level, plus each level's
     shared termination flag — a genuinely multi-writer register,
     emulated with the two-phase MW-ABD protocol.  [dos] reports
-    individual jobs (super-jobs expanded). *)
+    individual jobs (super-jobs expanded).  [max_deliveries] as in
+    {!run_kk}. *)

@@ -19,21 +19,21 @@ let atomic_mem ~next ~done_m ~pid =
     write_done = (fun c v -> Atomic_mem.mset done_m pid c v);
   }
 
-(* The outcome of a joined run: [logs.(i)] is domain i + 1's jobs in
-   program order. *)
-let outcome ~ledgers ~wall_seconds logs =
+(* The outcome of a joined run: [rev_logs.(i)] is domain i + 1's
+   (pid, job) performs, latest first.  [dos] lists domain 1's in program
+   order, then domain 2's, and so on; one [rev_append] per domain builds
+   it. *)
+let outcome ~ledgers ~wall_seconds rev_logs =
   let m = Array.length ledgers in
   let metrics = Shm.Metrics.create ~m in
   Array.iter (Shm.Metrics.merge metrics) ledgers;
   let per_process = Array.make (m + 1) 0 in
   let dos = ref [] in
-  Array.iteri
-    (fun i jobs ->
-      let pid = i + 1 in
-      per_process.(pid) <- List.length jobs;
-      List.iter (fun j -> dos := (pid, j) :: !dos) jobs)
-    logs;
-  { dos = List.rev !dos; per_process; wall_seconds; metrics }
+  for i = m - 1 downto 0 do
+    per_process.(i + 1) <- List.length rev_logs.(i);
+    dos := List.rev_append rev_logs.(i) !dos
+  done;
+  { dos = !dos; per_process; wall_seconds; metrics }
 
 (* ---- IterativeKK(eps) on domains ---- *)
 
@@ -81,7 +81,8 @@ let run_iterative ~n ~m ~epsilon_inv () =
         let lo, hi = Core.Superjob.interval hierarchy ~level ~id in
         List.init (hi - lo + 1) (fun k -> lo + k))
   in
-  outcome ~ledgers ~wall_seconds (Array.map jobs logs)
+  outcome ~ledgers ~wall_seconds
+    (Array.mapi (fun i log -> List.rev_map (fun j -> (i + 1, j)) (jobs log)) logs)
 
 let run_kk ~n ~m ~beta ?(policy = fun ~pid:_ -> Core.Policy.Rank_split)
     ?(job_budget = fun ~pid:_ -> max_int) ?(sink = Obs.Sink.null) ?rings
@@ -152,9 +153,9 @@ let run_kk ~n ~m ~beta ?(policy = fun ~pid:_ -> Core.Policy.Rank_split)
               let performed = ref [] in
               Core.Kk_direct.kk ~ledger ~budget ~m ~beta ~policy:pol ~pid mem
                 ~do_job:(fun j ->
-                  performed := j :: !performed;
+                  performed := (pid, j) :: !performed;
                   emit j);
-              List.rev !performed
+              !performed
             in
             if instrument then Obs.Rtevents.with_span "mc.domain" body
             else body ()))

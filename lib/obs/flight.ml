@@ -67,10 +67,9 @@ let push t s =
   Buffer.add_string t.cur s;
   after_push t len
 
-let push_buf t b =
-  let len = Buffer.length b in
+let push_sub t b ofs len =
   before_push t len;
-  Buffer.add_buffer t.cur b;
+  Buffer.add_subbytes t.cur b ofs len;
   after_push t len
 
 let total_records t = t.total_records

@@ -3,35 +3,29 @@
 
     The paper stores FREE, DONE and TRY in "some tree structure like
     red-black tree or some variant of B-tree" (§3); nothing in the
-    algorithm depends on the balancing scheme, only on this
-    interface.  {!Ostree} (size-augmented AVL) is the implementation
-    every run uses; the test suite instantiates the algorithm over a
-    sorted-list reference to check that the executions agree, and the
-    benchmark over a timing wrapper of {!Ostree}. *)
+    algorithm depends on how the set is built, only on this
+    interface: insert, delete, membership and rank/select, plus the
+    two set-difference queries against the TRY buffer ({!Trybuf}).
+    Sets are mutable; [copy] gives a process its own FREE and keeps
+    FREE₀ for [restart].  {!Ostree} (bitset + Fenwick tree) is the
+    implementation every run uses; the test suite instantiates the
+    algorithm over a sorted-list reference to check that the
+    executions agree, and the benchmark over a timing wrapper of
+    {!Ostree}. *)
 
 module type S = sig
   type t
 
-  val empty : t
-  val is_empty : t -> bool
+  val copy : t -> t
   val cardinal : t -> int
   val mem : int -> t -> bool
-  val add : int -> t -> t
-  val remove : int -> t -> t
-  val min_elt : t -> int
-  val max_elt : t -> int
+  val add : int -> t -> unit
+  val remove : int -> t -> unit
   val select : t -> int -> int
-  val rank : int -> t -> int
   val count_le : int -> t -> int
-  val diff_cardinal : t -> t -> int
-  val rank_diff : t -> t -> int -> int
+  val diff_cardinal : t -> Trybuf.t -> int
+  val rank_diff : t -> Trybuf.t -> int -> int
+
   val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
-  val iter : (int -> unit) -> t -> unit
-  val elements : t -> int list
-  val of_list : int list -> t
-  val of_range : int -> int -> t
-  val equal : t -> t -> bool
-  val subset : t -> t -> bool
-  val check_invariants : t -> unit
-  val pp : Format.formatter -> t -> unit
+  (** Ascending fold. *)
 end

@@ -380,9 +380,31 @@ let test_net_drop_keeps_amo () =
     "lossy plan: no violations (liveness waived, AMO holds)" []
     (violation_names r.C.violations)
 
+(* A loss-free plan cut by a small delivery cap: the clients are
+   stranded by the budget, not by a bug, so the run is [truncated] and
+   no quiescence or effectiveness violation is reported; the same plan
+   under the default cap completes clean. *)
+let test_net_cap_is_truncated () =
+  let plan =
+    P.make ~name:"capped" ~seed:5 ~n:40 ~m:3 ~beta:3
+      ~net:[ P.Duplicate { prob = 0.2; from_tick = 0; len = 200 } ]
+      ()
+  in
+  let r = C.run_net_plan ~max_deliveries:300 plan in
+  Alcotest.(check bool) "truncated" true r.C.truncated;
+  Alcotest.(check bool) "clients left waiting" true (r.C.stuck <> []);
+  Alcotest.(check (list string)) "no violations" [] (violation_names r.C.violations);
+  let r = C.run_net_plan plan in
+  Alcotest.(check bool) "default cap: not truncated" false r.C.truncated;
+  Alcotest.(check (list int)) "default cap: nobody stuck" [] r.C.stuck;
+  Alcotest.(check (list string)) "default cap: clean" []
+    (violation_names r.C.violations)
+
 let suite =
   [
     Alcotest.test_case "plan validation" `Quick test_validate;
+    Alcotest.test_case "net delivery cap is truncated" `Quick
+      test_net_cap_is_truncated;
     Alcotest.test_case "plan JSON rejects garbage" `Quick
       test_json_rejects_garbage;
     qtest prop_roundtrip;

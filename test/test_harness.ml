@@ -89,9 +89,11 @@ let test_cli_json_truncated () =
     truncated;
   Alcotest.(check int) "passing run: exits 0" 0 code
 
-(* [amo_run msg] at n = 20000, m = 4 runs into ABD's 2 M-delivery cap
-   with every client still waiting; that run must report [truncated]
-   and exit 1, while n = 2000 completes and exits 0. *)
+(* [amo_run msg] at n = 2000, m = 4 needs about 240 k deliveries; cut
+   at 50 k by [--max-deliveries], every client is still waiting, and
+   the run must report [truncated] and exit 1.  Under the default cap,
+   derived from n and m, n = 2000 and n = 20000 (2.4 M deliveries,
+   above the old fixed 2 M cap) complete and exit 0. *)
 let test_cli_msg_truncated () =
   let run args =
     let out, status =
@@ -106,19 +108,24 @@ let test_cli_msg_truncated () =
         (Option.bind (Obs.Json.member "truncated" j) Obs.Json.get_bool, code)
     | Error e -> Alcotest.failf "%s: bad JSON (%s)" args e
   in
-  let out, code = run " msg -n 20000 -m 4 2>&1" in
+  let cut = " msg -n 2000 -m 4 --max-deliveries 50000" in
+  let out, code = run (cut ^ " 2>&1") in
   Alcotest.(check bool) "cut run: prints a truncated line" true
     (List.exists
        (String.starts_with ~prefix:"truncated")
        (String.split_on_char '\n' out));
   Alcotest.(check int) "cut run: exits 1" 1 code;
-  let truncated, code = json_truncated " msg -n 20000 -m 4" in
+  let truncated, code = json_truncated cut in
   Alcotest.(check (option bool)) "cut run: truncated" (Some true) truncated;
   Alcotest.(check int) "cut run: --json exits 1" 1 code;
-  let truncated, code = json_truncated " msg -n 2000 -m 4" in
-  Alcotest.(check (option bool)) "passing run: not truncated" (Some false)
-    truncated;
-  Alcotest.(check int) "passing run: exits 0" 0 code
+  List.iter
+    (fun n ->
+      let truncated, code = json_truncated (Printf.sprintf " msg -n %d -m 4" n) in
+      Alcotest.(check (option bool))
+        (Printf.sprintf "n=%d: not truncated" n)
+        (Some false) truncated;
+      Alcotest.(check int) (Printf.sprintf "n=%d: exits 0" n) 0 code)
+    [ 2000; 20000 ]
 
 let suite =
   [

@@ -248,8 +248,8 @@ let test_internal_invariants_during_run () =
       Array.iter
         (fun p ->
           let tries = Core.Kk.try_set p in
-          if Ostree.cardinal tries >= m then
-            Alcotest.failf "|TRY| = %d >= m" (Ostree.cardinal tries);
+          if Trybuf.cardinal tries >= m then
+            Alcotest.failf "|TRY| = %d >= m" (Trybuf.cardinal tries);
           let a = Core.Kk.announced p in
           if a <> 0 && not (Core.Job.is_valid ~n a) then
             Alcotest.failf "bad announcement %d" a)
@@ -279,14 +279,14 @@ let test_done_set_matches_shared_memory () =
   let dos = Shm.Trace.do_events trace in
   check_amo dos;
   (* the jobs each process wrote to its own done row *)
-  let own_row = Array.make (m + 1) Ostree.empty in
+  let own_row = Array.init (m + 1) (fun _ -> Ostree.create n) in
   List.iter
     (fun e ->
       match e.Shm.Trace.event with
       | Shm.Event.Write { p; cell; value; _ }
         when String.starts_with ~prefix:(Printf.sprintf "kk.done[%d][" p) cell
         ->
-          own_row.(p) <- Ostree.add value own_row.(p)
+          Ostree.add value own_row.(p)
       | _ -> ())
     (Shm.Trace.entries trace);
   (* every performed job has left the performer's FREE (it is in its
@@ -323,6 +323,33 @@ let test_crash_is_idempotent_and_final () =
   h.Shm.Automaton.crash ();
   Alcotest.(check bool) "dead" false (h.Shm.Automaton.alive ());
   Alcotest.(check string) "stopped" "stop" (h.Shm.Automaton.phase ())
+
+(* [create] copies its FREE set and keeps a second copy as FREE₀: a
+   caller's later change to the set it passed reaches neither, and a
+   restart after the process's own FREE shrank starts from FREE₀. *)
+let test_restart_restores_free0 () =
+  let n = 10 and m = 2 in
+  let metrics = Shm.Metrics.create ~m in
+  let shared = Core.Kk.make_shared ~metrics ~m ~capacity:n ~name:"kk" () in
+  let free = Core.Job.universe ~n in
+  let k =
+    Core.Kk.create ~shared ~pid:1 ~beta:m ~policy:Core.Policy.Rank_split ~free
+      ~mode:Core.Kk.Standalone ()
+  in
+  Ostree.remove 5 free;
+  let h = Core.Kk.handle k in
+  for _ = 1 to 40 do
+    if h.Shm.Automaton.alive () then ignore (h.Shm.Automaton.step ())
+  done;
+  let shrunk = Ostree.cardinal (Core.Kk.free_set k) in
+  if shrunk >= n then Alcotest.failf "FREE did not shrink (%d jobs)" shrunk;
+  h.Shm.Automaton.crash ();
+  Alcotest.(check bool) "restart takes" true (Core.Kk.restart k);
+  Alcotest.(check (list int))
+    "FREE is FREE0 again"
+    (List.init n (fun i -> i + 1))
+    (Ostree.elements (Core.Kk.free_set k));
+  Alcotest.(check int) "TRY is empty" 0 (Trybuf.cardinal (Core.Kk.try_set k))
 
 let test_create_validation () =
   let metrics = Shm.Metrics.create ~m:2 in
@@ -399,16 +426,14 @@ let test_iter_step_keep_try_covers_rest () =
   for seed = 0 to 10 do
     let procs, _, dos = run_iter_step ~seed ~n:80 ~m:3 ~beta:27 ~keep_try:true in
     let performed = Core.Spec.performed_set dos in
-    let covered =
-      Array.fold_left
-        (fun acc p ->
-          match Core.Kk.result p with
-          | None -> acc
-          | Some out -> Ostree.fold Ostree.add out acc)
-        performed procs
+    let covered j =
+      Ostree.mem j performed
+      || Array.exists
+           (fun p -> Option.fold ~none:false ~some:(Ostree.mem j) (Core.Kk.result p))
+           procs
     in
     for j = 1 to 80 do
-      if not (Ostree.mem j covered) then
+      if not (covered j) then
         Alcotest.failf "seed %d: job %d in nobody's FREE and unperformed" seed j
     done
   done
@@ -454,7 +479,8 @@ let test_heterogeneous_free_sets () =
    and FREE = FREE₀ \ DONE.  [on_restart pid] resets pid's reference
    DONE; call it when a restart takes. *)
 let with_done_ref ~free0 kks =
-  let done_ref = Array.map (fun _ -> Ostree.empty) kks in
+  let cap = Array.fold_left (fun c f -> Ostree.fold max f c) 0 free0 in
+  let done_ref = Array.map (fun _ -> Ostree.create cap) kks in
   let check_all () =
     Array.iteri
       (fun i k ->
@@ -465,7 +491,8 @@ let with_done_ref ~free0 kks =
               QCheck.Test.fail_reportf "p%d: job %d in FREE and DONE" (i + 1)
                 x)
           free;
-        let expected = Ostree.fold Ostree.remove done_ free0.(i) in
+        let expected = Ostree.copy free0.(i) in
+        Ostree.iter (fun x -> Ostree.remove x expected) done_;
         if Ostree.elements free <> Ostree.elements expected then
           QCheck.Test.fail_reportf
             "p%d: FREE (%d jobs) <> FREE0 \\ DONE (%d jobs)" (i + 1)
@@ -476,7 +503,7 @@ let with_done_ref ~free0 kks =
     | Shm.Event.Read { p; cell; value; _ }
     | Shm.Event.Write { p; cell; value; _ }
       when value > 0 && String.starts_with ~prefix:"kk.done[" cell ->
-        done_ref.(p - 1) <- Ostree.add value done_ref.(p - 1)
+        Ostree.add value done_ref.(p - 1)
     | _ -> ()
   in
   let handles =
@@ -495,7 +522,7 @@ let with_done_ref ~free0 kks =
       kks
   in
   let on_restart pid =
-    done_ref.(pid - 1) <- Ostree.empty;
+    done_ref.(pid - 1) <- Ostree.create cap;
     check_all ()
   in
   (handles, on_restart)
@@ -626,71 +653,66 @@ let test_bounded_exhaustive_small () =
 (* ---- backend independence ---- *)
 
 (* A reference [Set_intf.S]: a sorted [int list], every query a linear
-   scan.  [Kk.Make] over it must reproduce the AVL-backed algorithm
-   event for event, so nothing in KKβ depends on the tree. *)
-module List_set : Set_intf.S = struct
-  type t = int list
+   scan.  [Kk.Make] over it must reproduce the {!Ostree}-backed
+   algorithm event for event, so nothing in KKβ depends on the bitset. *)
+module List_set = struct
+  type t = { mutable l : int list }
 
-  let empty = []
-  let is_empty l = l = []
-  let cardinal = List.length
-  let mem = List.mem
-  let add x l = if List.mem x l then l else List.merge compare [ x ] l
-  let remove x l = List.filter (fun y -> y <> x) l
+  let create _ = { l = [] }
+  let of_range lo hi = { l = (if hi < lo then [] else List.init (hi - lo + 1) (( + ) lo)) }
+  let copy s = { l = s.l }
+  let cardinal s = List.length s.l
+  let mem x s = List.mem x s.l
+  let add x s = if not (List.mem x s.l) then s.l <- List.merge compare [ x ] s.l
+  let remove x s = s.l <- List.filter (fun y -> y <> x) s.l
 
-  let min_elt = function [] -> raise Not_found | x :: _ -> x
-
-  let max_elt l = min_elt (List.rev l)
-
-  let select l i =
-    if i < 1 || i > List.length l then
+  let select s i =
+    if i < 1 || i > List.length s.l then
       invalid_arg "List_set.select: rank out of range";
-    List.nth l (i - 1)
+    List.nth s.l (i - 1)
 
-  let rank x l =
+  let rank x s =
     let rec go i = function
       | [] -> raise Not_found
       | y :: rest -> if y = x then i else go (i + 1) rest
     in
-    go 1 l
+    go 1 s.l
 
-  let count_le x l = List.length (List.filter (fun y -> y <= x) l)
-  let diff l1 l2 = List.filter (fun x -> not (List.mem x l2)) l1
-  let diff_cardinal l1 l2 = List.length (diff l1 l2)
+  let count_le x s = List.length (List.filter (fun y -> y <= x) s.l)
 
-  let rank_diff l1 l2 i =
-    let d = diff l1 l2 in
+  let diff s b =
+    let tries = Trybuf.elements b in
+    List.filter (fun x -> not (List.mem x tries)) s.l
+
+  let diff_cardinal s b = List.length (diff s b)
+
+  let rank_diff s b i =
+    let d = diff s b in
     if i < 1 || i > List.length d then
       invalid_arg "List_set.rank_diff: rank out of range";
     List.nth d (i - 1)
 
-  let fold f l acc = List.fold_left (fun acc x -> f x acc) acc l
-  let iter = List.iter
-  let elements l = l
-  let of_list = List.sort_uniq compare
-  let of_range lo hi =
-    if hi < lo then [] else List.init (hi - lo + 1) (( + ) lo)
-  let equal = ( = )
-  let subset l1 l2 = List.for_all (fun x -> List.mem x l2) l1
+  let fold f s acc = List.fold_left (fun acc x -> f x acc) acc s.l
+  let elements s = s.l
 
-  let check_invariants l =
-    if l <> List.sort_uniq compare l then failwith "List_set: not sorted"
-
-  let pp fmt l =
-    Format.fprintf fmt "{%s}" (String.concat ", " (List.map string_of_int l))
+  let check_invariants s =
+    if s.l <> List.sort_uniq compare s.l then failwith "List_set: not sorted"
 end
 
-(* The reference is itself checked against the AVL tree on sets built by
+module _ : Set_intf.S = List_set
+
+(* The reference is itself checked against {!Ostree} on sets built by
    the same add/remove sequences, so a disagreement in the execution
    checks below points at KKβ, not at the reference. *)
 
-let apply_set_ops ops =
-  List.fold_left
-    (fun (ls, avl) (is_add, x) ->
-      if is_add then (List_set.add x ls, Ostree.add x avl)
-      else (List_set.remove x ls, Ostree.remove x avl))
-    (List_set.empty, Ostree.empty)
-    ops
+let apply_set_ops ?(cap = 200) ops =
+  let ls = List_set.create cap and os = Ostree.create cap in
+  List.iter
+    (fun (is_add, x) ->
+      if is_add then (List_set.add x ls; Ostree.add x os)
+      else (List_set.remove x ls; Ostree.remove x os))
+    ops;
+  (ls, os)
 
 let set_ops_gen hi = QCheck.(list (pair bool (int_range 1 hi)))
 
@@ -702,52 +724,51 @@ let prop_list_set_invariants =
       true)
 
 let prop_list_set_elements =
-  QCheck.Test.make ~name:"list set and avl agree on elements" ~count:800
+  QCheck.Test.make ~name:"list set and ostree agree on elements" ~count:800
     (set_ops_gen 80) (fun ops ->
-      let ls, avl = apply_set_ops ops in
-      List_set.elements ls = Ostree.elements avl
-      && List_set.cardinal ls = Ostree.cardinal avl)
+      let ls, os = apply_set_ops ops in
+      List_set.elements ls = Ostree.elements os
+      && List_set.cardinal ls = Ostree.cardinal os)
 
 let prop_list_set_queries =
-  QCheck.Test.make ~name:"list set: select/rank/count_le = avl" ~count:400
+  QCheck.Test.make ~name:"list set: select/rank/count_le = ostree" ~count:400
     (set_ops_gen 60) (fun ops ->
-      let ls, avl = apply_set_ops ops in
+      let ls, os = apply_set_ops ops in
       let k = List_set.cardinal ls in
-      k = Ostree.cardinal avl
+      k = Ostree.cardinal os
       && List.for_all
            (fun i ->
              let x = List_set.select ls i in
-             x = Ostree.select avl i && List_set.rank x ls = Ostree.rank x avl)
+             x = Ostree.select os i && List_set.rank x ls = Ostree.rank x os)
            (List.init k (fun i -> i + 1))
       && List.for_all
-           (fun x -> List_set.count_le x ls = Ostree.count_le x avl)
+           (fun x -> List_set.count_le x ls = Ostree.count_le x os)
            (List.init 80 (fun i -> i + 1)))
 
 let prop_list_set_rank_diff =
-  QCheck.Test.make ~name:"list set: rank_diff agrees with avl" ~count:300
-    QCheck.(pair (set_ops_gen 100) (set_ops_gen 100))
-    (fun (ops1, ops2) ->
-      let ls1, av1 = apply_set_ops ops1 and ls2, av2 = apply_set_ops ops2 in
-      let d = List_set.diff_cardinal ls1 ls2 in
-      d = Ostree.diff_cardinal av1 av2
+  QCheck.Test.make ~name:"list set: rank_diff agrees with ostree" ~count:300
+    QCheck.(pair (set_ops_gen 100) (list_of_size Gen.(0 -- 12) (int_range 1 110)))
+    (fun (ops, tries) ->
+      let ls, os = apply_set_ops ops and b = Trybuf.of_list tries in
+      let d = List_set.diff_cardinal ls b in
+      d = Ostree.diff_cardinal os b
       && List.for_all
-           (fun i -> List_set.rank_diff ls1 ls2 i = Ostree.rank_diff av1 av2 i)
+           (fun i -> List_set.rank_diff ls b i = Ostree.rank_diff os b i)
            (List.init d (fun i -> i + 1)))
 
 let test_list_set_sequential_deletions () =
   (* ascending, descending and middle-out drains, compared step by step *)
   let check_drain order =
-    ignore
-      (List.fold_left
-         (fun (ls, avl) x ->
-           let ls = List_set.remove x ls and avl = Ostree.remove x avl in
-           List_set.check_invariants ls;
-           Alcotest.(check (list int))
-             (Printf.sprintf "after removing %d" x)
-             (Ostree.elements avl) (List_set.elements ls);
-           (ls, avl))
-         (List_set.of_range 1 64, Ostree.of_range 1 64)
-         order)
+    let ls = List_set.of_range 1 64 and os = Ostree.of_range 1 64 in
+    List.iter
+      (fun x ->
+        List_set.remove x ls;
+        Ostree.remove x os;
+        List_set.check_invariants ls;
+        Alcotest.(check (list int))
+          (Printf.sprintf "after removing %d" x)
+          (Ostree.elements os) (List_set.elements ls))
+      order
   in
   check_drain (List.init 64 (fun i -> i + 1));
   check_drain (List.init 64 (fun i -> 64 - i));
@@ -773,13 +794,13 @@ let run_list_backend ?(adversary = Shm.Adversary.none) ~scheduler ~n ~m ~beta
   Shm.Trace.do_events outcome.Shm.Executor.trace
 
 let test_backends_produce_identical_executions () =
-  (* the algorithm is deterministic given the schedule, and the AVL
-     tree and the list reference implement the same abstract set, so
-     the executions must agree event-for-event *)
+  (* the algorithm is deterministic given the schedule, and the bitset
+     and the list reference implement the same abstract set, so the
+     executions must agree event-for-event *)
   let n = 120 and m = 4 in
   List.iter
     (fun beta ->
-      let avl =
+      let ostree =
         (Core.Harness.kk ~scheduler:(Shm.Schedule.round_robin ()) ~n ~m ~beta ())
           .Core.Harness.dos
       in
@@ -789,7 +810,7 @@ let test_backends_produce_identical_executions () =
       in
       Alcotest.(check (list (pair int int)))
         (Printf.sprintf "identical do-logs (beta=%d)" beta)
-        avl reference)
+        ostree reference)
     [ m; 2 * m; 3 * m * m ]
 
 let test_backends_identical_under_random_schedule () =
@@ -797,7 +818,7 @@ let test_backends_identical_under_random_schedule () =
     let record, picks =
       Shm.Schedule.recording (Shm.Schedule.random (Util.Prng.of_int seed))
     in
-    let avl =
+    let ostree =
       (Core.Harness.kk ~scheduler:record ~n:80 ~m:3 ~beta:3 ())
         .Core.Harness.dos
     in
@@ -808,7 +829,7 @@ let test_backends_identical_under_random_schedule () =
     in
     Alcotest.(check (list (pair int int)))
       (Printf.sprintf "seed %d" seed)
-      avl reference
+      ostree reference
   done
 
 let test_list_backend_under_crashes () =
@@ -823,7 +844,7 @@ let test_list_backend_under_crashes () =
     let record, picks =
       Shm.Schedule.recording (Shm.Schedule.random (Util.Prng.of_int seed))
     in
-    let avl =
+    let ostree =
       (Core.Harness.kk ~scheduler:record ~adversary:(adversary ()) ~n ~m
          ~beta:m ())
         .Core.Harness.dos
@@ -836,7 +857,7 @@ let test_list_backend_under_crashes () =
     Helpers.check_amo reference;
     Alcotest.(check (list (pair int int)))
       (Printf.sprintf "seed %d" seed)
-      avl reference
+      ostree reference
   done
 
 (* ---- configuration fuzzing ---- *)
@@ -918,6 +939,8 @@ let suite =
     Alcotest.test_case "crash idempotent and final" `Quick
       test_crash_is_idempotent_and_final;
     Alcotest.test_case "create validation" `Quick test_create_validation;
+    Alcotest.test_case "restart restores FREE0" `Quick
+      test_restart_restores_free0;
     Alcotest.test_case "iter-step: amo" `Quick test_iter_step_amo;
     Alcotest.test_case "iter-step: flag raised" `Quick
       test_iter_step_flag_set_on_termination;

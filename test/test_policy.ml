@@ -1,14 +1,19 @@
 (* Tests for the candidate-selection policies. *)
 
 let universe n = Ostree.of_range 1 n
+let no_try = Trybuf.create 0
+
+(* [Policy.choose] with the |FREE \ TRY| its caller computes. *)
+let choose pol ~p ~m ~free ~try_set =
+  Core.Policy.choose pol ~p ~m ~avail:(Ostree.diff_cardinal free try_set) ~free ~try_set
 
 let test_rank_split_formula () =
   (* n=100 free jobs, m=4, TRY empty: TMP = (100-3)/4 = 24.25 >= 1,
      so p picks rank floor((p-1)*24.25)+1 of FREE\TRY. *)
   let free = universe 100 in
   let pick p =
-    Core.Policy.choose Core.Policy.Rank_split ~p ~m:4 ~free
-      ~try_set:Ostree.empty
+    choose Core.Policy.Rank_split ~p ~m:4 ~free
+      ~try_set:no_try
   in
   Alcotest.(check int) "p1" 1 (pick 1);
   Alcotest.(check int) "p2" 25 (pick 2);
@@ -22,8 +27,8 @@ let test_rank_split_small_pool () =
     Alcotest.(check int)
       (Printf.sprintf "p%d picks rank p" p)
       p
-      (Core.Policy.choose Core.Policy.Rank_split ~p ~m:4 ~free
-         ~try_set:Ostree.empty)
+      (choose Core.Policy.Rank_split ~p ~m:4 ~free
+         ~try_set:no_try)
   done
 
 let test_rank_split_initial_picks_distinct () =
@@ -34,8 +39,8 @@ let test_rank_split_initial_picks_distinct () =
       let free = universe n in
       let picks =
         List.init m (fun i ->
-            Core.Policy.choose Core.Policy.Rank_split ~p:(i + 1) ~m ~free
-              ~try_set:Ostree.empty)
+            choose Core.Policy.Rank_split ~p:(i + 1) ~m ~free
+              ~try_set:no_try)
       in
       let distinct = List.sort_uniq compare picks in
       Alcotest.(check int)
@@ -47,53 +52,53 @@ let test_rank_split_skips_try () =
   (* TRY excludes candidates: with 1..10 free and {1,2,3} tried,
      p=1 of m=10 picks the first of FREE \ TRY = 4. *)
   let free = universe 10 in
-  let try_set = Ostree.of_list [ 1; 2; 3 ] in
+  let try_set = Trybuf.of_list [ 1; 2; 3 ] in
   Alcotest.(check int) "skips tried" 4
-    (Core.Policy.choose Core.Policy.Rank_split ~p:1 ~m:10 ~free ~try_set)
+    (choose Core.Policy.Rank_split ~p:1 ~m:10 ~free ~try_set)
 
 let test_rank_split_ignores_try_strangers () =
   (* TRY entries not in FREE must not shift the rank *)
   let free = Ostree.of_list [ 10; 20; 30 ] in
-  let try_set = Ostree.of_list [ 5; 15 ] in
+  let try_set = Trybuf.of_list [ 5; 15 ] in
   Alcotest.(check int) "stranger-proof" 10
-    (Core.Policy.choose Core.Policy.Rank_split ~p:1 ~m:3 ~free ~try_set)
+    (choose Core.Policy.Rank_split ~p:1 ~m:3 ~free ~try_set)
 
 let test_lowest_free () =
   let free = Ostree.of_list [ 7; 3; 9 ] in
   Alcotest.(check int) "lowest" 3
-    (Core.Policy.choose Core.Policy.Lowest_free ~p:2 ~m:4 ~free
-       ~try_set:Ostree.empty);
+    (choose Core.Policy.Lowest_free ~p:2 ~m:4 ~free
+       ~try_set:no_try);
   Alcotest.(check int) "lowest not tried" 7
-    (Core.Policy.choose Core.Policy.Lowest_free ~p:2 ~m:4 ~free
-       ~try_set:(Ostree.of_list [ 3 ]))
+    (choose Core.Policy.Lowest_free ~p:2 ~m:4 ~free
+       ~try_set:(Trybuf.of_list [ 3 ]))
 
 let test_random_in_pool () =
   let rng = Util.Prng.of_int 9 in
   let free = universe 20 in
-  let try_set = Ostree.of_list [ 5; 6; 7 ] in
+  let try_set = Trybuf.of_list [ 5; 6; 7 ] in
   for _ = 1 to 200 do
     let j =
-      Core.Policy.choose (Core.Policy.Random rng) ~p:1 ~m:4 ~free ~try_set
+      choose (Core.Policy.Random rng) ~p:1 ~m:4 ~free ~try_set
     in
     if not (Ostree.mem j free) then Alcotest.failf "%d not free" j;
-    if Ostree.mem j try_set then Alcotest.failf "%d is tried" j
+    if Trybuf.mem j try_set then Alcotest.failf "%d is tried" j
   done
 
 let test_empty_pool_rejected () =
   Alcotest.check_raises "empty pool"
     (Invalid_argument "Policy.choose: FREE \\ TRY is empty") (fun () ->
       ignore
-        (Core.Policy.choose Core.Policy.Rank_split ~p:1 ~m:2
+        (choose Core.Policy.Rank_split ~p:1 ~m:2
            ~free:(Ostree.of_list [ 1 ])
-           ~try_set:(Ostree.of_list [ 1 ])))
+           ~try_set:(Trybuf.of_list [ 1 ])))
 
 let test_clamp_under_small_beta () =
   (* β < m regime: |FREE \ TRY| can drop below p; the pick must still
      be a valid element (correctness preserved, §3). *)
   let free = Ostree.of_list [ 1; 2 ] in
   let j =
-    Core.Policy.choose Core.Policy.Rank_split ~p:4 ~m:4 ~free
-      ~try_set:Ostree.empty
+    choose Core.Policy.Rank_split ~p:4 ~m:4 ~free
+      ~try_set:no_try
   in
   Alcotest.(check bool) "valid element" true (Ostree.mem j free)
 
