@@ -77,7 +77,9 @@ let run () =
       in
       let r = Fault.Chaos.run_net_plan ~servers plan in
       if Fault.Plan.lossy plan then incr lossy;
-      if r.violations <> [] then begin
+      (* a correct run spends a fraction of the delivery cap, so a
+         stop there means a client looped *)
+      if r.violations <> [] || r.truncated then begin
         incr bad;
         save_artifact { plan with Fault.Plan.name = plan.Fault.Plan.name ^ "-bad" }
       end

@@ -563,16 +563,14 @@ let pairing_cmd =
       $ trace_out)
 
 let msg_cmd =
-  let run n m servers max_deliveries seed f log_level json =
+  let run n m servers seed f log_level json =
     apply_log_level log_level;
     let rng = Util.Prng.of_int seed in
     let crash_plan =
       List.init (min f (m - 1)) (fun i ->
           ((i + 1) * 50 * n / m, `Client (i + 1)))
     in
-    let o =
-      Msg.Kk_mp.run_kk ~crash_plan ?max_deliveries ~servers ~n ~m ~beta:m ~rng ()
-    in
+    let o = Msg.Kk_mp.run_kk ~crash_plan ~servers ~n ~m ~beta:m ~rng () in
     let amo_ok = Result.is_ok (Core.Spec.check_at_most_once o.Msg.Kk_mp.dos) in
     (* the crash plan never kills a server, so a client still waiting
        at the end was cut off by the delivery cap *)
@@ -626,22 +624,13 @@ let msg_cmd =
     let doc = "Number of ABD replica servers." in
     Cmdliner.Arg.(value & opt int 3 & info [ "servers" ] ~docv:"S" ~doc)
   in
-  let max_deliveries =
-    let doc =
-      "Stop the run after $(docv) message deliveries; a run stopped there \
-       reports truncated and exits 1.  Default: max(2000000, 40 * S * m * n), \
-       about four times what a complete run needs."
-    in
-    Cmdliner.Arg.(
-      value & opt (some int) None & info [ "max-deliveries" ] ~docv:"D" ~doc)
-  in
   let doc =
     "Run KKbeta over message passing (ABD-emulated atomic registers)."
   in
   Cmd.v (Cmd.info "msg" ~doc)
     Term.(
-      const run $ jobs $ procs $ servers $ max_deliveries $ seed $ crashes
-      $ log_level $ json_flag)
+      const run $ jobs $ procs $ servers $ seed $ crashes $ log_level
+      $ json_flag)
 
 let explore_cmd =
   let run n m beta_opt branch_depth max_steps domains fingerprint differential
@@ -933,7 +922,7 @@ let chaos_cmd =
             Fmt.epr "amo_run: %s: %s@." path e;
             exit 2
         | Ok plan when plan.Fault.Plan.net <> [] ->
-            let r = Fault.Chaos.run_net_plan plan in
+            let r = Fault.Chaos.run_net_plan ?max_deliveries:max_steps plan in
             if json then
               print_endline
                 (J.to_string ~minify:false
@@ -1204,7 +1193,10 @@ let chaos_cmd =
   let max_steps_opt =
     let doc =
       "Step budget for a --plan replay (default 200000 + 1000*n*m); \
-       exhausting it exits 3 with the recorded schedule prefix."
+       exhausting it exits 3 with the recorded schedule prefix.  For a \
+       message-passing plan, the delivery budget (default \
+       max(2000000, 40*S*m*n)); a run stopped there reports truncated and \
+       exits 1."
     in
     Arg.(value & opt (some int) None & info [ "max-steps" ] ~docv:"STEPS" ~doc)
   in

@@ -210,7 +210,7 @@ let worker_footprint w =
       else Footprint.Internal (* next step is the level advance *)
 
 let processes ?collision ?(policy = Policy.Rank_split) ?(verbose = false) plan =
-  (* every process copies it (Kk.create) *)
+  (* every process keeps it as FREE₀ and works on a copy (Kk.create) *)
   let free0 = Superjob.ids_at plan.hierarchy 0 in
   Array.init plan.m (fun i ->
       let pid = i + 1 in

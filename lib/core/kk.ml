@@ -141,8 +141,9 @@ let create ~shared ~pid ~beta ~policy ~free ?collision
     verbose;
     provenance;
     blame = Option.is_some collision || provenance;
-    (* copies: the caller's set may be another process's FREE₀ too *)
-    initial_free = Set.copy free;
+    (* FREE₀ is the caller's set, never mutated, so it may be every
+       process's FREE₀; the working FREE is this process's own copy *)
+    initial_free = free;
     status = Comp_next;
     free = Set.copy free;
     tries = Trybuf.create shared.sh_m;

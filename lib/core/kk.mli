@@ -67,9 +67,10 @@ module type S = Kk_intf.S
       flag; [flag_value] peeks at the flag (checkers only).
     - [create ~shared ~pid ~beta ~policy ~free ~mode ()] builds one
       process with initial FREE set [free] (for standalone KKβ pass
-      [Job.universe ~n]).  The process works on its own copy of
-      [free] and keeps another as FREE₀ for [restart], so one set may
-      be passed to every process.  [perform] (default: emit one [Do] event)
+      [Job.universe ~n]).  [free] itself is kept as FREE₀ for
+      [restart] and never mutated; the process works on its own copy,
+      so one set may be passed to every process.  The caller must not
+      mutate [free] afterwards.  [perform] (default: emit one [Do] event)
       expands the [do] action; [perform_work] (default [fun _ -> 1])
       is the work charged for it; [verbose] makes every step emit
       [Read]/[Write]/[Internal] events for [`Full] traces, each

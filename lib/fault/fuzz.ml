@@ -247,10 +247,12 @@ let net_fingerprint (r : Chaos.net_result) =
 
 let execute ?probe ?max_steps (plan : Plan.t) =
   if plan.Plan.net <> [] then begin
-    let r = Chaos.run_net_plan plan in
+    let r = Chaos.run_net_plan ?max_deliveries:max_steps plan in
     {
       Analysis.Fuzz.states = [ net_fingerprint r ];
-      violating = r.Chaos.violations <> [];
+      (* a correct run spends a fraction of the delivery cap, so a
+         stop there means a client looped *)
+      violating = r.Chaos.violations <> [] || r.Chaos.truncated;
       pinned = plan;
     }
   end

@@ -29,8 +29,13 @@ val execute : ?probe:Shm.Probe.t -> ?max_steps:int -> Plan.t -> Plan.t Analysis.
     attached ([state_probe]); for message-passing plans, falls back to
     {!Chaos.run_net_plan} with a single whole-run outcome fingerprint
     (canonical do-multiset + stuck set — net runs expose no
-    per-event machine state).  [pinned] is the plan with the recorded
-    pick sequence fixed (shm) or the plan itself (net).  [probe] is
+    per-event machine state).  [max_steps] bounds a shared-memory
+    run's executor steps and a message-passing run's deliveries
+    (default {!Msg.Kk_mp.default_max_deliveries}); a message-passing
+    run stopped at that bound ([truncated]) counts as violating, since
+    a correct run spends a fraction of the default.  [pinned] is the
+    plan with the recorded pick sequence fixed (shm) or the plan
+    itself (net).  [probe] is
     composed in front of the coverage probe on every shm execution —
     the seam for an always-on {!Obs.Journal.probe} flight recorder,
     whose drop-oldest ring then retains the tail of the most recent

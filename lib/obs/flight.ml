@@ -67,9 +67,10 @@ let push t s =
   Buffer.add_string t.cur s;
   after_push t len
 
-let push_sub t b ofs len =
+let push_buf t b =
+  let len = Buffer.length b in
   before_push t len;
-  Buffer.add_subbytes t.cur b ofs len;
+  Buffer.add_buffer t.cur b;
   after_push t len
 
 let total_records t = t.total_records

@@ -29,10 +29,9 @@ val create : ?segment_bytes:int -> ?max_segments:int -> unit -> t
 val push : t -> string -> unit
 (** Append one encoded record. *)
 
-val push_sub : t -> Bytes.t -> int -> int -> unit
-(** [push_sub t b ofs len] appends the record [b.[ofs .. ofs+len-1]]
-    from a caller-reused scratch (the hot-path variant: no
-    intermediate string). *)
+val push_buf : t -> Buffer.t -> unit
+(** [push] from a caller-reused scratch buffer (the hot-path variant:
+    no intermediate string). *)
 
 (** {2 Counters} — loss is visible, never silent. *)
 

@@ -10,86 +10,55 @@ type damage = { offset : int; reason : string }
 
 (* ---------- primitive writers ---------- *)
 
-(* Every writer appends to a reusable byte scratch with unchecked
-   stores after one capacity check, so the probe's per-event path is a
-   few stores, a checksum pass and one blit into the flight. *)
-type w = { mutable buf : Bytes.t; mutable pos : int }
-
-let grow w k =
-  let nb = Bytes.create (2 * (w.pos + k)) in
-  Bytes.blit w.buf 0 nb 0 w.pos;
-  w.buf <- nb
-
-let[@inline] reserve w k = if w.pos + k > Bytes.length w.buf then grow w k
-
-(* Unchecked stores for callers that reserved the room: each returns
-   the next free index. *)
-let[@inline] put_char b i c =
-  Bytes.unsafe_set b i c;
-  i + 1
-
-(* unsigned LEB128 over the int's bit pattern; [lsr] is logical so
-   this terminates for negative inputs too (9 bytes max) *)
-let put_long_varint b i n =
-  let n = ref n and i = ref i in
-  while !n lsr 7 <> 0 do
-    Bytes.unsafe_set b !i (Char.unsafe_chr (!n land 0x7f lor 0x80));
+let add_varint b n =
+  (* unsigned LEB128 over the int's bit pattern; [lsr] is logical so
+     this terminates for negative inputs too (9 bytes max) *)
+  let n = ref n in
+  let fin = ref false in
+  while not !fin do
+    let byte = !n land 0x7f in
     n := !n lsr 7;
-    incr i
-  done;
-  put_char b !i (Char.unsafe_chr !n)
-
-let[@inline] put_varint b i n =
-  if n lsr 7 = 0 then put_char b i (Char.unsafe_chr n) else put_long_varint b i n
-
-let add_char w c =
-  reserve w 1;
-  w.pos <- put_char w.buf w.pos c
-
-let add_varint w n =
-  reserve w 9;
-  w.pos <- put_varint w.buf w.pos n
+    if !n = 0 then begin
+      Buffer.add_char b (Char.chr byte);
+      fin := true
+    end
+    else Buffer.add_char b (Char.chr (byte lor 0x80))
+  done
 
 let zigzag n = (n lsl 1) lxor (n asr (Sys.int_size - 1))
 let unzigzag z = (z lsr 1) lxor (- (z land 1))
-let[@inline] put_zint b i n = put_varint b i (zigzag n)
-let add_zint w n = add_varint w (zigzag n)
+let add_zint b n = add_varint b (zigzag n)
 
-let add_str w s =
-  let len = String.length s in
-  add_varint w len;
-  reserve w len;
-  Bytes.blit_string s 0 w.buf w.pos len;
-  w.pos <- w.pos + len
+let add_str b s =
+  add_varint b (String.length s);
+  Buffer.add_string b s
 
-let rec add_json w (j : Json.t) =
+let rec add_json b (j : Json.t) =
   match j with
-  | Json.Null -> add_char w '\000'
-  | Json.Bool false -> add_char w '\001'
-  | Json.Bool true -> add_char w '\002'
+  | Json.Null -> Buffer.add_char b '\000'
+  | Json.Bool false -> Buffer.add_char b '\001'
+  | Json.Bool true -> Buffer.add_char b '\002'
   | Json.Int n ->
-      add_char w '\003';
-      add_zint w n
+      Buffer.add_char b '\003';
+      add_zint b n
   | Json.Float f ->
       (* exact IEEE bit pattern, so NaN and -0. round-trip *)
-      add_char w '\004';
-      reserve w 8;
-      Bytes.set_int64_le w.buf w.pos (Int64.bits_of_float f);
-      w.pos <- w.pos + 8
+      Buffer.add_char b '\004';
+      Buffer.add_int64_le b (Int64.bits_of_float f)
   | Json.String s ->
-      add_char w '\005';
-      add_str w s
+      Buffer.add_char b '\005';
+      add_str b s
   | Json.List l ->
-      add_char w '\006';
-      add_varint w (List.length l);
-      List.iter (add_json w) l
+      Buffer.add_char b '\006';
+      add_varint b (List.length l);
+      List.iter (add_json b) l
   | Json.Obj kvs ->
-      add_char w '\007';
-      add_varint w (List.length kvs);
+      Buffer.add_char b '\007';
+      add_varint b (List.length kvs);
       List.iter
         (fun (k, v) ->
-          add_str w k;
-          add_json w v)
+          add_str b k;
+          add_json b v)
         kvs
 
 let kind_byte : Sink.kind -> char = function
@@ -98,101 +67,97 @@ let kind_byte : Sink.kind -> char = function
   | Sink.Counter -> '\002'
   | Sink.Log -> '\003'
 
-(* The fixed-size events (most of a run's) take one capacity check:
-   a tag and at most four varints. *)
-let add_event w (e : Shm.Event.t) =
-  reserve w 37;
-  let b = w.buf and i = w.pos in
+let add_event b (e : Shm.Event.t) =
+  let tag c = Buffer.add_char b c in
   match e with
-  | Shm.Event.Do { p; job } -> w.pos <- put_zint b (put_zint b (put_char b i '\000') p) job
-  | Shm.Event.Crash { p } -> w.pos <- put_zint b (put_char b i '\001') p
-  | Shm.Event.Restart { p } -> w.pos <- put_zint b (put_char b i '\002') p
-  | Shm.Event.Terminate { p } -> w.pos <- put_zint b (put_char b i '\003') p
+  | Shm.Event.Do { p; job } ->
+      tag '\000';
+      add_zint b p;
+      add_zint b job
+  | Shm.Event.Crash { p } ->
+      tag '\001';
+      add_zint b p
+  | Shm.Event.Restart { p } ->
+      tag '\002';
+      add_zint b p
+  | Shm.Event.Terminate { p } ->
+      tag '\003';
+      add_zint b p
   | Shm.Event.Read { p; cell; value; wid } ->
-      w.pos <- put_zint b (put_char b i '\004') p;
-      add_str w cell;
-      add_zint w value;
-      add_zint w wid
+      tag '\004';
+      add_zint b p;
+      add_str b cell;
+      add_zint b value;
+      add_zint b wid
   | Shm.Event.Write { p; cell; value; wid } ->
-      w.pos <- put_zint b (put_char b i '\005') p;
-      add_str w cell;
-      add_zint w value;
-      add_zint w wid
+      tag '\005';
+      add_zint b p;
+      add_str b cell;
+      add_zint b value;
+      add_zint b wid
   | Shm.Event.Internal { p; action } ->
-      w.pos <- put_zint b (put_char b i '\006') p;
-      add_str w action
+      tag '\006';
+      add_zint b p;
+      add_str b action
   | Shm.Event.Pick { p; job; free_card; try_card } ->
-      let i = put_zint b (put_zint b (put_char b i '\007') p) job in
-      w.pos <- put_zint b (put_zint b i free_card) try_card
+      tag '\007';
+      add_zint b p;
+      add_zint b job;
+      add_zint b free_card;
+      add_zint b try_card
   | Shm.Event.Announce { p; job } ->
-      w.pos <- put_zint b (put_zint b (put_char b i '\008') p) job
+      tag '\008';
+      add_zint b p;
+      add_zint b job
   | Shm.Event.Forfeit { p; job; hit; owner } ->
-      w.pos <- put_zint b (put_zint b (put_char b i '\009') p) job;
-      add_str w hit;
-      add_zint w owner
+      tag '\009';
+      add_zint b p;
+      add_zint b job;
+      add_str b hit;
+      add_zint b owner
   | Shm.Event.Recover { p; job } ->
-      w.pos <- put_zint b (put_zint b (put_char b i '\010') p) job
+      tag '\010';
+      add_zint b p;
+      add_zint b job
 
-let add_event_item w step event =
-  reserve w 10;
-  w.pos <- put_zint w.buf (put_char w.buf w.pos '\001') step;
-  add_event w event
-
-let encode_payload w = function
+let encode_payload b = function
   | Record (r : Sink.record) ->
-      add_char w '\000';
-      add_zint w r.ts;
-      add_zint w r.dur;
-      add_zint w r.pid;
-      add_char w (kind_byte r.kind);
-      add_str w r.name;
-      add_varint w (List.length r.args);
+      Buffer.add_char b '\000';
+      add_zint b r.ts;
+      add_zint b r.dur;
+      add_zint b r.pid;
+      Buffer.add_char b (kind_byte r.kind);
+      add_str b r.name;
+      add_varint b (List.length r.args);
       List.iter
         (fun (k, v) ->
-          add_str w k;
-          add_json w v)
+          add_str b k;
+          add_json b v)
         r.args
-  | Event { step; event } -> add_event_item w step event
+  | Event { step; event } ->
+      Buffer.add_char b '\001';
+      add_zint b step;
+      add_event b event
 
 let checksum_seed = 0xA5
 
-(* A frame is varint(payload length), the payload, and one checksum
-   byte.  The payload is written after [room] bytes kept free for the
-   length, which is then stored right before it: [start w] opens a
-   frame, [finish w] closes it and returns its first offset; the frame
-   ends at [w.pos]. *)
-let room = 9
-let start w = w.pos <- room
-
-let finish w =
-  let len = w.pos - room in
+let encode_to ~payload ~frame item =
+  Buffer.clear payload;
+  Buffer.clear frame;
+  encode_payload payload item;
+  let len = Buffer.length payload in
+  add_varint frame len;
+  Buffer.add_buffer frame payload;
   let x = ref checksum_seed in
-  for i = room to w.pos - 1 do
-    x := !x lxor Char.code (Bytes.unsafe_get w.buf i)
+  for i = 0 to len - 1 do
+    x := !x lxor Char.code (Buffer.nth payload i)
   done;
-  add_char w (Char.unsafe_chr !x);
-  if len < 0x80 then begin
-    Bytes.unsafe_set w.buf (room - 1) (Char.unsafe_chr len);
-    room - 1
-  end
-  else begin
-    let end_ = w.pos in
-    w.pos <- 0;
-    add_varint w len;
-    let k = w.pos in
-    Bytes.blit w.buf 0 w.buf (room - k) k;
-    w.pos <- end_;
-    room - k
-  end
-
-let writer () = { buf = Bytes.create 256; pos = 0 }
+  Buffer.add_char frame (Char.chr !x)
 
 let encode item =
-  let w = writer () in
-  start w;
-  encode_payload w item;
-  let first = finish w in
-  Bytes.sub_string w.buf first (w.pos - first)
+  let payload = Buffer.create 64 and frame = Buffer.create 80 in
+  encode_to ~payload ~frame item;
+  Buffer.contents frame
 
 (* ---------- primitive readers ---------- *)
 
@@ -379,12 +344,10 @@ let decode_file path =
 let sink fl = Sink.journal ~encode:(fun r -> encode (Record r)) fl
 
 let probe fl =
-  let w = writer () in
+  let payload = Buffer.create 128 and frame = Buffer.create 160 in
   Shm.Probe.make ~needs_phase:false (fun ~step ~phase:_ ev ->
-      start w;
-      add_event_item w step ev;
-      let first = finish w in
-      Flight.push_sub fl w.buf first (w.pos - first))
+      encode_to ~payload ~frame (Event { step; event = ev });
+      Flight.push_buf fl frame)
 
 (* ---------- dumps ---------- *)
 

@@ -40,6 +40,9 @@ type item =
 val encode : item -> string
 (** One framed record (no file header). *)
 
+val encode_to : payload:Buffer.t -> frame:Buffer.t -> item -> unit
+(** Hot-path variant: encodes into caller-reused scratch buffers
+    (cleared first); the framed bytes end up in [frame]. *)
 
 type damage = { offset : int; reason : string }
 (** Where decoding stopped: [offset] is the byte offset (within the

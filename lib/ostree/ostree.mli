@@ -18,10 +18,10 @@
     paper: the rank of [x] in [s] is its position when the elements of
     [s] are sorted ascending.
 
-    Sets are mutable and never shared between processes: {!Core.Kk}
-    copies the FREE set it is given, so a process of the simulated
-    machine cannot reach another process's state except through the
-    shared memory. *)
+    Sets are mutable, and a process's working FREE is never shared:
+    {!Core.Kk} copies the set it is given (keeping that set, never
+    mutated, as FREE₀), so a process of the simulated machine cannot
+    reach another process's state except through the shared memory. *)
 
 type t
 

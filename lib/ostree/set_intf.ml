@@ -4,10 +4,10 @@
     The paper stores FREE, DONE and TRY in "some tree structure like
     red-black tree or some variant of B-tree" (§3); nothing in the
     algorithm depends on how the set is built, only on this
-    interface: insert, delete, membership and rank/select, plus the
-    two set-difference queries against the TRY buffer ({!Trybuf}).
-    Sets are mutable; [copy] gives a process its own FREE and keeps
-    FREE₀ for [restart].  {!Ostree} (bitset + Fenwick tree) is the
+    interface: delete, membership and cardinality, plus the two
+    set-difference queries against the TRY buffer ({!Trybuf}) that
+    carry the rank/select.  Sets are mutable; [copy] gives a process
+    its own FREE.  {!Ostree} (bitset + Fenwick tree) is the
     implementation every run uses; the test suite instantiates the
     algorithm over a sorted-list reference to check that the
     executions agree, and the benchmark over a timing wrapper of
@@ -19,10 +19,7 @@ module type S = sig
   val copy : t -> t
   val cardinal : t -> int
   val mem : int -> t -> bool
-  val add : int -> t -> unit
   val remove : int -> t -> unit
-  val select : t -> int -> int
-  val count_le : int -> t -> int
   val diff_cardinal : t -> Trybuf.t -> int
   val rank_diff : t -> Trybuf.t -> int -> int
 

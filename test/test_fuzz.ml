@@ -242,6 +242,20 @@ let test_skip_check_found_and_shrunk () =
           Alcotest.(check bool) "shrunk plan replays the violation" true
             (replay.Fault.Chaos.violations <> []))
 
+(* A message-passing run stopped at its delivery budget is violating:
+   a correct run spends a fraction of the default cap, so reaching it
+   means a client looped.  [max_steps] is that budget for net plans. *)
+let test_capped_net_plan_violates () =
+  let plan =
+    P.make ~name:"capped" ~seed:5 ~n:40 ~m:3 ~beta:3
+      ~net:[ P.Duplicate { prob = 0.2; from_tick = 0; len = 200 } ]
+      ()
+  in
+  let ex = Fault.Fuzz.execute ~max_steps:300 plan in
+  Alcotest.(check bool) "capped run: violating" true ex.F.violating;
+  let ex = Fault.Fuzz.execute plan in
+  Alcotest.(check bool) "default budget: clean" false ex.F.violating
+
 (* ---- amo_run fuzz CLI: help golden and exit codes ---- *)
 
 let temp_dir prefix =
@@ -323,6 +337,8 @@ let suite =
       test_pinned_replay_deterministic;
     Alcotest.test_case "skip-check mutant re-found and shrunk" `Quick
       test_skip_check_found_and_shrunk;
+    Alcotest.test_case "capped net plan counts as violating" `Quick
+      test_capped_net_plan_violates;
     Alcotest.test_case "fuzz --help golden" `Quick test_fuzz_help_golden;
     Alcotest.test_case "fuzz exit codes 0/1/2" `Quick test_fuzz_exit_codes;
   ]

@@ -89,43 +89,92 @@ let test_cli_json_truncated () =
     truncated;
   Alcotest.(check int) "passing run: exits 0" 0 code
 
-(* [amo_run msg] at n = 2000, m = 4 needs about 240 k deliveries; cut
-   at 50 k by [--max-deliveries], every client is still waiting, and
-   the run must report [truncated] and exit 1.  Under the default cap,
-   derived from n and m, n = 2000 and n = 20000 (2.4 M deliveries,
-   above the old fixed 2 M cap) complete and exit 0. *)
+(* [amo_run msg] reports [truncated] and exits 1 when a client is
+   still waiting at the end: the command crashes no server, so only the
+   delivery cap can strand one.  That cap is derived from n and m; cut
+   below what the run needs (n = 2000, m = 4 spends about 240 k
+   deliveries), every client is left waiting.  Under the derived cap,
+   n = 2000 and n = 20000 (2.4 M deliveries, above ABD's fixed 2 M
+   default) complete, and the CLI says so and exits 0. *)
 let test_cli_msg_truncated () =
+  let o =
+    Msg.Kk_mp.run_kk ~max_deliveries:50_000 ~servers:3 ~n:2000 ~m:4 ~beta:4
+      ~rng:(Util.Prng.of_int 42) ()
+  in
+  Alcotest.(check (list int)) "cut run: every client waiting" [ 1; 2; 3; 4 ]
+    (List.sort compare o.Msg.Kk_mp.stuck);
+  Alcotest.(check int) "cut run: stopped at the cap" 50_000
+    o.Msg.Kk_mp.deliveries;
+  List.iter
+    (fun n ->
+      let args = Printf.sprintf " msg -n %d -m 4 --json" n in
+      let out, status =
+        Helpers.run_capture (Filename.quote (Helpers.amo_exe ()) ^ args)
+      in
+      let truncated =
+        match Obs.Json.parse out with
+        | Ok j -> Option.bind (Obs.Json.member "truncated" j) Obs.Json.get_bool
+        | Error e -> Alcotest.failf "%s: bad JSON (%s)" args e
+      in
+      Alcotest.(check (option bool))
+        (Printf.sprintf "n=%d: not truncated" n)
+        (Some false) truncated;
+      Alcotest.(check int)
+        (Printf.sprintf "n=%d: exits 0" n)
+        0
+        (Helpers.exit_code status))
+    [ 2000; 20000 ]
+
+(* [amo_run chaos --plan] on a message-passing plan: [--max-steps] is
+   the delivery budget, and a run stopped there prints a [truncated]
+   line, reports it in JSON with no oracle violation, and exits 1;
+   under the default budget the same plan passes. *)
+let test_cli_chaos_net_truncated () =
+  let plan =
+    Fault.Plan.make ~name:"capped" ~seed:5 ~n:40 ~m:3 ~beta:3
+      ~net:[ Fault.Plan.Duplicate { prob = 0.2; from_tick = 0; len = 200 } ]
+      ()
+  in
+  let path = Filename.temp_file "amo_net_plan" ".json" in
+  Fault.Plan.save ~path plan;
   let run args =
     let out, status =
-      Helpers.run_capture (Filename.quote (Helpers.amo_exe ()) ^ args)
+      Helpers.run_capture
+        (Filename.quote (Helpers.amo_exe ()) ^ " chaos --plan "
+       ^ Filename.quote path ^ args)
     in
     (out, Helpers.exit_code status)
   in
-  let json_truncated args =
+  let json args =
     let out, code = run (args ^ " --json") in
     match Obs.Json.parse out with
     | Ok j ->
-        (Option.bind (Obs.Json.member "truncated" j) Obs.Json.get_bool, code)
+        let violations =
+          match Obs.Json.member "violations" j with
+          | Some (Obs.Json.List l) -> List.length l
+          | _ -> Alcotest.failf "%s: no violations list" args
+        in
+        ( Option.bind (Obs.Json.member "truncated" j) Obs.Json.get_bool,
+          violations,
+          code )
     | Error e -> Alcotest.failf "%s: bad JSON (%s)" args e
   in
-  let cut = " msg -n 2000 -m 4 --max-deliveries 50000" in
-  let out, code = run (cut ^ " 2>&1") in
+  let out, code = run " --max-steps 300 2>&1" in
   Alcotest.(check bool) "cut run: prints a truncated line" true
     (List.exists
        (String.starts_with ~prefix:"truncated")
        (String.split_on_char '\n' out));
   Alcotest.(check int) "cut run: exits 1" 1 code;
-  let truncated, code = json_truncated cut in
+  let truncated, violations, code = json " --max-steps 300" in
   Alcotest.(check (option bool)) "cut run: truncated" (Some true) truncated;
+  Alcotest.(check int) "cut run: no violation" 0 violations;
   Alcotest.(check int) "cut run: --json exits 1" 1 code;
-  List.iter
-    (fun n ->
-      let truncated, code = json_truncated (Printf.sprintf " msg -n %d -m 4" n) in
-      Alcotest.(check (option bool))
-        (Printf.sprintf "n=%d: not truncated" n)
-        (Some false) truncated;
-      Alcotest.(check int) (Printf.sprintf "n=%d: exits 0" n) 0 code)
-    [ 2000; 20000 ]
+  let truncated, violations, code = json "" in
+  Alcotest.(check (option bool)) "default budget: not truncated" (Some false)
+    truncated;
+  Alcotest.(check int) "default budget: no violation" 0 violations;
+  Alcotest.(check int) "default budget: exits 0" 0 code;
+  Sys.remove path
 
 let suite =
   [
@@ -142,4 +191,6 @@ let suite =
       test_cli_json_truncated;
     Alcotest.test_case "cli: truncated msg run exits 1" `Quick
       test_cli_msg_truncated;
+    Alcotest.test_case "cli: truncated chaos net plan exits 1" `Quick
+      test_cli_chaos_net_truncated;
   ]

@@ -324,9 +324,9 @@ let test_crash_is_idempotent_and_final () =
   Alcotest.(check bool) "dead" false (h.Shm.Automaton.alive ());
   Alcotest.(check string) "stopped" "stop" (h.Shm.Automaton.phase ())
 
-(* [create] copies its FREE set and keeps a second copy as FREE₀: a
-   caller's later change to the set it passed reaches neither, and a
-   restart after the process's own FREE shrank starts from FREE₀. *)
+(* [create] keeps the set it is given as FREE₀ and works on a copy:
+   the run leaves the caller's set untouched, and a restart after the
+   process's own FREE shrank starts from FREE₀ again. *)
 let test_restart_restores_free0 () =
   let n = 10 and m = 2 in
   let metrics = Shm.Metrics.create ~m in
@@ -336,13 +336,13 @@ let test_restart_restores_free0 () =
     Core.Kk.create ~shared ~pid:1 ~beta:m ~policy:Core.Policy.Rank_split ~free
       ~mode:Core.Kk.Standalone ()
   in
-  Ostree.remove 5 free;
   let h = Core.Kk.handle k in
   for _ = 1 to 40 do
     if h.Shm.Automaton.alive () then ignore (h.Shm.Automaton.step ())
   done;
   let shrunk = Ostree.cardinal (Core.Kk.free_set k) in
   if shrunk >= n then Alcotest.failf "FREE did not shrink (%d jobs)" shrunk;
+  Alcotest.(check int) "the caller's set is untouched" n (Ostree.cardinal free);
   h.Shm.Automaton.crash ();
   Alcotest.(check bool) "restart takes" true (Core.Kk.restart k);
   Alcotest.(check (list int))
